@@ -46,6 +46,7 @@ from .grouplaw import (
 from .lang import (
     LangWitness,
     default_degree_cap,
+    lang_solve_batch,
     lang_solve_bruteforce,
     lang_solve_triangular,
     verify_witness,

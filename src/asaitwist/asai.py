@@ -13,16 +13,33 @@ y in G(F_{q^m}) conjugates the norm image back to g, then z = (x*y)^{-1}
 commutes with g and z^{-1} F^m(z) = x F^m(x)^{-1} = g.  Moved classes
 admit no such witness, so witness existence and fixedness must agree
 classwise on every run.
+
+norm_map works in one batched pass over all class representatives, a
+chunk of rows at a time, on (rows, d, k) digit arrays: the Lang solve,
+the checks on the images, the class lookup of the images, and z with
+both of its checks for every fixed class.  centralizer_witness only
+reads the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+
+import numpy as np
 
 from .errors import InternalInconsistencyError, ParameterError
-from .lang import LangWitness, lang_solve_triangular
-from .points import ClassTable, FiniteGroupView, Point
+from .fields import FieldId, p_power_exponent
+from .grouplaw import eval_inv, eval_mul, point_frobenius
+
+# lang_solve_triangular is the one-point form of lang_solve_batch; it stays
+# bound here because perfbench/tracer.py wraps it at this import site
+from .lang import lang_solve_batch, lang_solve_triangular  # noqa: F401
+from .points import ClassTable, FiniteGroupView, Point, digits_point
+
+# class representatives per batch: bounds the (rows, d, k) temporaries
+_ROW_CHUNK = 1 << 12
 
 
 @dataclass
@@ -30,19 +47,29 @@ class NormMapResult:
     """The class permutation induced by the norm map, with witnesses.
 
     perm[c] is the class index of the norm image of class c's
-    representative; witnesses hold the per-class Lang data and images the
-    rational points N(rep) at level q^m.
+    representative and image_ordinals[c] the ordinal of that image at
+    level q^m.  levels holds (field, z) per witness level: a fixed class
+    c has its centralizer witness z[where[c, 1]] in levels[where[c, 0]].
+    witness_errors maps each fixed class whose witness failed its checks
+    to the failure; it is empty on a sound run.
     """
 
     table: ClassTable
     perm: tuple[int, ...]
-    witnesses: list[LangWitness]
-    images: list[Point]
+    image_ordinals: np.ndarray
+    levels: list[tuple[FieldId, np.ndarray]]
+    where: np.ndarray
+    witness_errors: dict[int, str]
     stats: dict
 
     @property
     def view(self) -> FiniteGroupView:
         return self.table.view
+
+    @property
+    def images(self) -> list[Point]:
+        """The rational points N(rep), one per class."""
+        return [self.view.point(int(o)) for o in self.image_ordinals]
 
 
 def norm_map(
@@ -50,48 +77,82 @@ def norm_map(
     table: ClassTable,
     max_degree: int | None = None,
 ) -> NormMapResult:
-    """Per-class Lang solve; asserts rather than assumes well-definedness.
+    """Batched Lang solve; asserts rather than assumes well-definedness.
 
     Every computed image is checked to equal both x^{-1} g x and
     F^m(x)^{-1} x and to be fixed by F^m before it is located in the
-    class table.
+    class table.  Every fixed class gets its centralizer witness here;
+    a failed witness check is recorded, and raised by
+    centralizer_witness.
     """
     if table.view is not view:
         raise ParameterError("class table does not belong to this view")
-    law, tower, ops = view.law, view.tower, view.ops
-    q, m = view.q, view.m
+    law, tower = view.law, view.tower
+    base = view.field
+    e = p_power_exponent(view.q, law.p) * view.m
     solves_before = tower.stats["artin_schreier_solves"]
-    perm: list[int] = []
-    witnesses: list[LangWitness] = []
-    images: list[Point] = []
-    max_deg_seen = view.field.degree
-    for ci in range(len(table)):
-        g = table.rep_point(ci)
-        w = lang_solve_triangular(law, tower, g, q, m, max_degree=max_degree)
-        x = w.x
-        lvl = x.field
-        max_deg_seen = max(max_deg_seen, lvl.degree)
-        ge = ops.embed(g, lvl)
-        img_conj = ops.mul(ops.mul(ops.inv(x), ge), x)
-        img_norm = ops.mul(ops.inv(ops.frobenius(x, q, m)), x)
-        if img_conj != img_norm:
-            raise InternalInconsistencyError(
-                "x^{-1} g x != F^m(x)^{-1} x despite x solving the Lang equation"
-            )
-        if ops.frobenius(img_norm, q, m) != img_norm:
-            raise InternalInconsistencyError("norm image is not F^m-rational")
-        img = ops.section(img_norm, view.field)
-        perm.append(int(table.class_of[view.index_of(img)]))
-        witnesses.append(w)
-        images.append(img)
-    if sorted(perm) != list(range(len(table))):
+    n = len(table)
+    image_ordinals = np.empty(n, dtype=np.int64)
+    where = np.empty((n, 2), dtype=np.int64)
+    levels: list[tuple[FieldId, np.ndarray]] = []
+    errors: dict[int, str] = {}
+    for lo in range(0, n, _ROW_CHUNK):
+        chunk = np.arange(lo, min(lo + _ROW_CHUNK, n))
+        g = view._codes_to_digits(view.codes[table.reps[chunk]])
+        for lvl, rows, x in lang_solve_batch(law, tower, g, view.q, view.m, max_degree):
+            classes = chunk[rows]
+            mul = partial(eval_mul, law, tower, lvl)
+            inv = partial(eval_inv, law, tower, lvl)
+            frob = partial(point_frobenius, tower, lvl, e=e)
+            ge = tower.vembed(base, lvl, g[rows])
+            img = mul(inv(frob(x)), x)
+            if not np.array_equal(mul(mul(inv(x), ge), x), img):
+                raise InternalInconsistencyError(
+                    "x^{-1} g x != F^m(x)^{-1} x despite x solving the Lang equation"
+                )
+            if not np.array_equal(frob(img), img):
+                raise InternalInconsistencyError("norm image is not F^m-rational")
+            img = tower.vsection(lvl, base, img)
+            ords = view.combine(view._digits_to_codes(img))
+            image_ordinals[classes] = ords
+
+            # z = (x y)^{-1} for the fixed classes, y the least rational
+            # element conjugating the image back to the representative
+            fixed = np.nonzero(table.class_of[ords] == classes)[0]
+            y = np.zeros(len(fixed), dtype=np.int64)
+            for j, row in enumerate(fixed):
+                rep = int(table.reps[classes[row]])
+                if ords[row] == rep:
+                    continue
+                found = view.find_conjugator(view.codes[ords[row]], view.codes[rep])
+                if found is None:
+                    errors[int(classes[row])] = (
+                        "class is fixed but no rational y conjugates the norm image back"
+                    )
+                else:
+                    y[j] = found
+            yd = tower.vembed(base, lvl, view._codes_to_digits(view.codes[y]))
+            z = np.zeros_like(x)
+            z[fixed] = zf = inv(mul(x[fixed], yd))
+            gf = ge[fixed]
+            commutes = np.all(mul(zf, gf) == mul(gf, zf), axis=(-2, -1))
+            coboundary = np.all(mul(inv(zf), frob(zf)) == gf, axis=(-2, -1))
+            for row in fixed[~(commutes & coboundary)]:
+                errors.setdefault(int(classes[row]), "centralizer witness failed its checks")
+            where[classes, 0] = len(levels)
+            where[classes, 1] = np.arange(len(classes))
+            levels.append((lvl, z))
+    perm = table.class_of[image_ordinals]
+    if not np.array_equal(np.sort(perm), np.arange(n)):
         raise InternalInconsistencyError("norm map did not permute the classes")
     stats = {
         "artin_schreier_solves": tower.stats["artin_schreier_solves"] - solves_before,
-        "max_extension_degree": max_deg_seen,
-        "classes": len(table),
+        "max_extension_degree": max([base.degree] + [lvl.degree for lvl, _ in levels]),
+        "classes": n,
     }
-    return NormMapResult(table, tuple(perm), witnesses, images, stats)
+    return NormMapResult(
+        table, tuple(perm.tolist()), image_ordinals, levels, where, errors, stats
+    )
 
 
 def is_asai_trivial(result: NormMapResult) -> bool:
@@ -116,7 +177,8 @@ def image_of_member(result: NormMapResult, ordinal: int) -> Point:
     w_ord = view.find_conjugator(g_codes, view.codes[ordinal])
     if w_ord is None:
         raise InternalInconsistencyError("ordinal is not in the class of its table")
-    return view.ops.conj(view.point(w_ord), result.images[ci])
+    image = view.point(int(result.image_ordinals[ci]))
+    return view.ops.conj(view.point(w_ord), image)
 
 
 # ---------------------------------------------------------------------------
@@ -241,35 +303,20 @@ class CentralizerWitness:
 def centralizer_witness(result: NormMapResult, ci: int) -> CentralizerWitness | None:
     """Witness for a fixed class; None for a moved class.
 
-    The y-search scans G(F_{q^m}) in canonical order and takes the first
-    y with y^{-1} N(g) y = g (nonempty because the classes coincide); both
-    witness checks are re-verified exactly and any failure is a bug, not a
-    legitimate outcome.
+    norm_map builds z from the first y in canonical order with
+    y^{-1} N(g) y = g (nonempty because the classes coincide) and
+    re-verifies both witness checks exactly; a failure is a bug, not a
+    legitimate outcome, and raises here.
     """
     if result.perm[ci] != ci:
         return None
-    view = result.view
-    ops = view.ops
-    g = result.table.rep_point(ci)
-    img = result.images[ci]
-    y_ord = view.find_conjugator(view.point_codes(img), view.codes[int(result.table.reps[ci])])
-    if y_ord is None:
-        raise InternalInconsistencyError(
-            "class is fixed but no rational y conjugates the norm image back"
-        )
-    y = view.point(y_ord)
-    x = result.witnesses[ci].x
-    lvl = x.field
-    z = ops.inv(ops.mul(x, ops.embed(y, lvl)))
-    ge = ops.embed(g, lvl)
-    commutes = ops.mul(z, ge) == ops.mul(ge, z)
-    coboundary = ops.mul(ops.inv(z), ops.frobenius(z, view.q, view.m)) == ge
-    if not (commutes and coboundary):
-        raise InternalInconsistencyError("centralizer witness failed its checks")
+    if ci in result.witness_errors:
+        raise InternalInconsistencyError(result.witness_errors[ci])
+    lvl, z = result.levels[int(result.where[ci, 0])]
     return CentralizerWitness(
-        g=g,
-        z=z,
-        n_multiplier=lvl.degree // view.field.degree,
-        in_centralizer=commutes,
-        coboundary=coboundary,
+        g=result.table.rep_point(ci),
+        z=digits_point(lvl, z[int(result.where[ci, 1])]),
+        n_multiplier=lvl.degree // result.view.field.degree,
+        in_centralizer=True,
+        coboundary=True,
     )

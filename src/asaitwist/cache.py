@@ -5,12 +5,15 @@ schema bump silently recomputes.  Files failing their checksum or written
 by another schema are ignored with a warning, never migrated.  Loads
 reproduce the canonical ordering byte for byte: the element enumeration
 is deterministic, so persisting class_of is enough to rebuild the table.
+Files are written to a temporary name in the cache directory and renamed
+into place, so an interrupted write never leaves a truncated table.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +56,14 @@ def save_class_table(path: str | Path, table: ClassTable) -> Path:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    # write beside the target, then rename over it: readers see the old
+    # file or the new one, never a partial write
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

@@ -13,13 +13,14 @@ choices are deterministic:
   that for a | b | c the composite a -> b -> c always equals a -> c;
 * the Artin-Schreier solver t^{q^m} - t = c returns the code-least
   solution in the smallest field of the chain F_{q^m s}, F_{q^m s p}, ...
-  containing one.
+  containing one.  It solves whole batches of digit rows at once; the
+  scalar call is a batch of one row.
 
 Bulk operations act on numpy int64 "digit" arrays of shape (..., k) with
 entry i the coefficient of t^i.  Scalar and bulk paths share the same
-kernels.  Towers are append-only: per-degree data is immutable once
-built, so concurrent reads are safe; construction itself is not
-synchronised.
+kernels.  Towers are single-threaded: reads fill per-degree data
+(Frobenius powers, Artin-Schreier factorizations, embeddings) lazily, so
+a tower must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _fp_gcd(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 
 
 class _Level:
-    """Immutable per-degree data: modulus, reduction matrix, Frobenius powers."""
+    """Per-degree data: modulus, reduction matrix, lazily filled Frobenius powers."""
 
     def __init__(self, p: int, degree: int, modulus: np.ndarray):
         self.p = p
@@ -465,17 +466,6 @@ class FieldTower:
             )
         return (a @ emb.sec) % self.p
 
-    def min_subfield_degree(self, x: FieldElement, step: int) -> int:
-        """Least d = step * s with s | degree/step such that x in F_{p^d}."""
-        deg = x.field.degree
-        if deg % step:
-            raise ParameterError("degree not a multiple of the base step")
-        dig = self._dig(x)
-        for s in divisors(deg // step):
-            if bool(self.vfixed_by(x.field, dig, step * s)):
-                return step * s
-        raise InternalInconsistencyError("element not fixed by its own field degree")
-
     def _embedding(self, a: int, b: int) -> _Embedding:
         """Embedding F_{p^a} -> F_{p^b}, compatible with everything built.
 
@@ -741,42 +731,73 @@ class FieldTower:
         m: int,
         max_degree: int | None = None,
     ) -> FieldElement:
-        """Code-least t with t^{q^m} - t = c.
+        """Code-least t with t^{q^m} - t = c: one row of vartin_schreier_solve."""
+        [(fid, _, sol)] = self.vartin_schreier_solve(
+            c.field, self._dig(c)[None, :], q, m, max_degree=max_degree
+        )
+        return self._el(fid, sol[0])
 
-        c must lie in an extension of F_{q^m}; it is first shrunk to the
-        smallest field of the chain F_{(q^m)^s} containing it, so the answer
-        does not depend on the level at which c happens to be represented.
-        The solution lives either there or in the single p-fold extension
-        where the relative trace obstruction vanishes.
+    def vartin_schreier_solve(
+        self,
+        fid: FieldId,
+        c: np.ndarray,
+        q: int,
+        m: int,
+        max_degree: int | None = None,
+    ) -> list[tuple[FieldId, np.ndarray, np.ndarray]]:
+        """Code-least t with t^{q^m} - t = c for every digit row of c.
+
+        c has shape (rows, fid.degree) and fid must extend F_{q^m}.  Each
+        row is first shrunk to the smallest field of the chain F_{(q^m)^s}
+        containing it, so the answer does not depend on the level at which
+        it happens to be represented.  Its solution lives either there or
+        in the single p-fold extension where the relative trace
+        obstruction vanishes.  Returns (field, row indices, solution
+        digits) groups that together cover every row once.
         """
-        n = p_power_exponent(q, self.p)
-        e = n * m
-        if c.field.degree % e:
+        e = p_power_exponent(q, self.p) * m
+        if fid.degree % e:
             raise ParameterError("c does not lie in an extension of F_{q^m}")
-        self.stats["artin_schreier_solves"] += 1
-        base = self.min_subfield_degree(c, e)
-        if base != c.field.degree:
-            c = self.section(c, self.make_field(base))
-        sol = self._as_try(base, e, self._dig(c))
-        if sol is not None:
-            return self._el(FieldId(self.p, base), sol)
-        bigger = base * self.p
+        c = np.asarray(c, dtype=np.int64)
+        self.stats["artin_schreier_solves"] += len(c)
+        # least subfield over the divisor chain; the last divisor is fid
+        base = np.full(len(c), fid.degree, dtype=np.int64)
+        todo = np.arange(len(c))
+        for s in divisors(fid.degree // e)[:-1]:
+            hit = self.vfixed_by(fid, c[todo], e * s)
+            base[todo[hit]] = e * s
+            todo = todo[~hit]
         cap = self.degree_cap if max_degree is None else min(max_degree, self.degree_cap)
-        if bigger > cap:
-            raise CapExceeded(
-                f"Artin-Schreier solution needs degree {bigger} > cap {cap}"
-            )
-        big = self.make_field(bigger)
-        cc = self.embed(c, big)
-        sol = self._as_try(bigger, e, self._dig(cc))
-        if sol is None:
-            raise InternalInconsistencyError(
-                "Artin-Schreier equation unsolvable in the p-fold extension"
-            )
-        return self._el(big, sol)
+        groups = []
+        for degree in np.unique(base).tolist():
+            rows = np.nonzero(base == degree)[0]
+            sub = self.make_field(degree)
+            cb = self.vsection(fid, sub, c[rows])
+            sol, ok = self._as_try(degree, e, cb)
+            if ok.any():
+                groups.append((sub, rows[ok], sol[ok]))
+            if ok.all():
+                continue
+            bigger = degree * self.p
+            if bigger > cap:
+                raise CapExceeded(
+                    f"Artin-Schreier solution needs degree {bigger} > cap {cap}"
+                )
+            big = self.make_field(bigger)
+            sol, found = self._as_try(bigger, e, self.vembed(sub, big, cb[~ok]))
+            if not found.all():
+                raise InternalInconsistencyError(
+                    "Artin-Schreier equation unsolvable in the p-fold extension"
+                )
+            groups.append((big, rows[~ok], sol))
+        return groups
 
-    def _as_try(self, degree: int, e: int, c_digits: np.ndarray) -> np.ndarray | None:
-        """Solve x^{p^e} - x = c inside F_{p^degree}, least solution or None."""
+    def _as_try(self, degree: int, e: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve x^{p^e} - x = c inside F_{p^degree} for every digit row.
+
+        Returns the least solution of each row and the mask of rows that
+        have one; the digits of the other rows mean nothing.
+        """
         lvl = self._level(degree)
         if e not in lvl.as_cache:
             a = (lvl.frob(e) - np.eye(degree, dtype=np.int64)) % self.p
@@ -786,12 +807,10 @@ class FieldTower:
             kern = kernel_rref(brev, self.p)
             lvl.as_cache[e] = (t, pivots, kern)
         t, pivots, kern = lvl.as_cache[e]
-        tb = (t @ c_digits) % self.p
+        tb = (c @ t.T) % self.p
         rank = len(pivots)
-        if np.any(tb[rank:]):
-            return None
-        y = np.zeros(degree, dtype=np.int64)
-        for j, col in enumerate(pivots):
-            y[col] = tb[j]
+        ok = ~np.any(tb[:, rank:], axis=1)
+        y = np.zeros((len(c), degree), dtype=np.int64)
+        y[:, pivots] = tb[:, :rank]
         y = coset_min(y, kern, self.p)
-        return y[::-1]
+        return y[:, ::-1], ok

@@ -6,6 +6,13 @@ is one Artin-Schreier equation t^{q^m} - t = c over the field generated
 so far.  Every step extends the working field by a factor of at most p,
 so the witness lives in degree at most p^d * m * n over F_p.
 
+lang_solve_batch solves many g at once on (rows, d, k) digit arrays.  It
+walks the coordinates with the rows grouped by their current level,
+solves each group's Artin-Schreier equations in one call, and regroups
+the rows whose solution moved to a larger field.  Every row is verified
+by one vectorized x * F^m(x)^{-1} == g check.  lang_solve_triangular is
+the same solve for one point.
+
 The brute-force solver scans whole groups level by level; it exists as an
 independent oracle for the triangular one and is exponential in the
 extension degree.
@@ -17,8 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InternalInconsistencyError, ParameterError
-from .fields import FieldElement, FieldTower, p_power_exponent
+from .errors import (
+    CapExceeded,
+    IncompatibleFields,
+    InternalInconsistencyError,
+    ParameterError,
+)
+from .fields import FieldId, FieldTower, p_power_exponent
 from .grouplaw import GroupLaw, all_tuples, eval_inv, eval_mul, point_frobenius
 from .points import DEFAULT_MAX_ORDER, LawOps, Point, digits_point, point_digits
 
@@ -43,6 +55,66 @@ def default_degree_cap(law: GroupLaw, q: int, m: int) -> int:
     return law.p**law.dim * m * n
 
 
+def lang_solve_batch(
+    law: GroupLaw,
+    tower: FieldTower,
+    g: np.ndarray,
+    q: int,
+    m: int,
+    max_degree: int | None = None,
+) -> list[tuple[FieldId, np.ndarray, np.ndarray]]:
+    """Coordinate-by-coordinate Artin-Schreier reduction for every row of g.
+
+    g has shape (rows, d, n*m): points of G(F_{q^m}) as digit arrays.
+    Deterministic: each coordinate takes the code-least solution at the
+    least feasible level, so each witness is unique and reproducible and
+    does not depend on the other rows.  Returns one (field, rows, x)
+    group per level, x[j] solving the Lang equation for row rows[j].
+    """
+    if not law.triangular:
+        raise ParameterError("triangular solver requires a triangular law")
+    n = p_power_exponent(q, law.p)
+    base = tower.make_field(n * m)
+    g = np.asarray(g, dtype=np.int64)
+    if g.shape[1:] != (law.dim, base.degree):
+        raise ParameterError("g must be given at level F_{q^m}")
+    if max_degree is None:
+        max_degree = default_degree_cap(law, q, m)
+    # level degree -> (rows, partial points); coordinates >= i stay zero
+    # and do not feed back into coordinate i for triangular laws
+    levels = {base.degree: (np.arange(len(g)), np.zeros_like(g))}
+    for i in range(law.dim):
+        solved: dict[int, list] = {}
+        for degree, (rows, xt) in levels.items():
+            cur = FieldId(law.p, degree)
+            fx = point_frobenius(tower, cur, xt, base.degree)
+            z = eval_mul(law, tower, cur, xt, eval_inv(law, tower, cur, fx))
+            c = (z[:, i] - tower.vembed(base, cur, g[rows, i])) % law.p
+            for fid, sel, t in tower.vartin_schreier_solve(
+                cur, c, q, m, max_degree=max_degree
+            ):
+                if fid.degree > degree:
+                    level, x = fid, tower.vembed(cur, fid, xt[sel])
+                else:
+                    level, x = cur, xt[sel].copy()
+                    t = tower.vembed(fid, cur, t)
+                x[:, i] = t
+                solved.setdefault(level.degree, []).append((rows[sel], x))
+        levels = {
+            degree: tuple(np.concatenate(arrays) for arrays in zip(*parts))
+            for degree, parts in sorted(solved.items())
+        }
+    groups = []
+    for degree, (rows, x) in levels.items():
+        fid = FieldId(law.p, degree)
+        fx = point_frobenius(tower, fid, x, base.degree)
+        lang = eval_mul(law, tower, fid, x, eval_inv(law, tower, fid, fx))
+        if not np.array_equal(lang, tower.vembed(base, fid, g[rows])):
+            raise InternalInconsistencyError("triangular Lang witness failed to verify")
+        groups.append((fid, rows, x))
+    return groups
+
+
 def lang_solve_triangular(
     law: GroupLaw,
     tower: FieldTower,
@@ -51,46 +123,10 @@ def lang_solve_triangular(
     m: int,
     max_degree: int | None = None,
 ) -> LangWitness:
-    """Coordinate-by-coordinate Artin-Schreier reduction.
-
-    Deterministic: each coordinate takes the code-least solution at the
-    least feasible level, so the witness is unique and reproducible.
-    """
-    if not law.triangular:
-        raise ParameterError("triangular solver requires a triangular law")
-    n = p_power_exponent(q, law.p)
-    base = n * m
-    if g.field.degree != base:
-        raise ParameterError("g must be given at level F_{q^m}")
-    if max_degree is None:
-        max_degree = default_degree_cap(law, q, m)
-    tower.make_field(base)
-    cur = g.field
-    ts: list[FieldElement] = []
-    for i in range(law.dim):
-        # partial point (t_1..t_i, 0, ..., 0); later coordinates of the
-        # product do not feed back into coordinate i for triangular laws
-        xt = np.zeros((law.dim, cur.degree), dtype=np.int64)
-        for j, t in enumerate(ts):
-            xt[j] = t.coeffs
-        fx = point_frobenius(tower, cur, xt, base)
-        y = eval_inv(law, tower, cur, fx)
-        z = eval_mul(law, tower, cur, xt, y)
-        gi = tower.vembed(g.field, cur, np.array(g.coords[i].coeffs, dtype=np.int64))
-        c = FieldElement(cur, tuple(int(v) for v in (z[i] - gi) % law.p))
-        t = tower.artin_schreier_solve(c, q, m, max_degree=max_degree)
-        if t.field.degree > cur.degree:
-            big = t.field
-            ts = [tower.embed(e, big) for e in ts]
-            cur = big
-        elif t.field.degree < cur.degree:
-            t = tower.embed(t, cur)
-        ts.append(t)
-    x = Point(tuple(ts))
-    w = LangWitness(g, x, cur.degree // base, q, m)
-    if not verify_witness(law, tower, w):
-        raise InternalInconsistencyError("triangular Lang witness failed to verify")
-    return w
+    """Coordinate-by-coordinate Artin-Schreier reduction: lang_solve_batch
+    on the single point g, so its witness is the same code-least one."""
+    [(fid, _, x)] = lang_solve_batch(law, tower, point_digits(g)[None], q, m, max_degree)
+    return LangWitness(g, digits_point(fid, x[0]), fid.degree // g.field.degree, q, m)
 
 
 def lang_solve_bruteforce(
@@ -144,5 +180,5 @@ def verify_witness(law: GroupLaw, tower: FieldTower, w: LangWitness) -> bool:
         lang = eval_mul(law, tower, fid, xd, eval_inv(law, tower, fid, fx))
         ge = point_digits(ops.embed(w.g, fid))
         return bool(np.array_equal(lang, ge))
-    except Exception:
+    except (IncompatibleFields, ParameterError):
         return False

@@ -94,11 +94,11 @@ def kernel_rref(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def coset_min(x0: np.ndarray, kernel: np.ndarray, p: int) -> np.ndarray:
-    """Lexicographically least element of x0 + span(kernel).
+    """Lexicographically least element of x0 + span(kernel), row by row.
 
-    Column 0 is the most significant position.  `kernel` must be in RREF;
-    zeroing every pivot coordinate of the coset representative realises
-    the greedy lexicographic minimum.
+    x0 has shape (..., n); column 0 is the most significant position.
+    `kernel` must be in RREF; zeroing every pivot coordinate of the coset
+    representative realises the greedy lexicographic minimum.
     """
     x = np.array(x0, dtype=np.int64) % p
     for row in kernel:
@@ -106,5 +106,5 @@ def coset_min(x0: np.ndarray, kernel: np.ndarray, p: int) -> np.ndarray:
         if nz.size == 0:
             continue
         piv = int(nz[0])
-        x = (x - x[piv] * row) % p
+        x = (x - x[..., piv, None] * row) % p
     return x

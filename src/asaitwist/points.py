@@ -336,9 +336,12 @@ class ClassTable:
     members: list[np.ndarray]  # sorted ordinals per class
     class_of: np.ndarray  # ordinal -> class index
 
+    def __post_init__(self):
+        self._sizes = [int(m.size) for m in self.members]
+
     @property
     def sizes(self) -> list[int]:
-        return [int(m.size) for m in self.members]
+        return list(self._sizes)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from asaitwist import cache as cache_module
 from asaitwist.cache import (
     class_table_path,
     load_class_table,
@@ -169,6 +170,39 @@ def test_cache_rejects_stale_schema(tmp_path):
     warnings = []
     assert load_class_table(path, law, FieldTower(2), 2, 1, warn=warnings.append) is None
     assert any("stale" in w for w in warnings)
+
+
+def test_cache_save_replaces_truncated_file_atomically(tmp_path):
+    tower = FieldTower(2)
+    law = builtin("ul", 2, 3)
+    table = conjugacy_classes(enumerate_group(law, tower, 2, 1))
+    path = class_table_path(tmp_path, law, 2, 1)
+    save_class_table(path, table)
+    whole = path.read_bytes()
+    path.write_bytes(whole[: len(whole) // 2])  # an interrupted earlier write
+    assert load_class_table(path, law, FieldTower(2), 2, 1) is None
+    assert save_class_table(path, table) == path
+    assert path.read_bytes() == whole
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+    loaded = load_class_table(path, law, FieldTower(2), 2, 1)
+    assert loaded is not None and loaded.sizes == table.sizes
+
+
+def test_cache_save_failure_keeps_old_file(tmp_path, monkeypatch):
+    tower = FieldTower(2)
+    law = builtin("ul", 2, 3)
+    table = conjugacy_classes(enumerate_group(law, tower, 2, 1))
+    path = class_table_path(tmp_path, law, 2, 1)
+    path.write_text("old contents")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache_module.os, "replace", fail)
+    with pytest.raises(OSError):
+        save_class_table(path, table)
+    assert path.read_text() == "old contents"
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
 
 def test_classes_command(runner, tmp_path):

@@ -95,6 +95,25 @@ def test_verify_witness_fiber_invariance_and_perturbation():
     assert not verify_witness(law, tower, w3)
 
 
+def test_verify_witness_rejects_wrong_level_and_raises_on_malformed():
+    tower = FieldTower(3)
+    law = builtin("n2", 3)
+    view = enumerate_group(law, tower, 3, 1)
+    g = view.point(4)
+    w = lang_solve_triangular(law, tower, g, 3, 1)
+    # x at F_9, which does not contain the F_27 solution: a wrong level
+    f9 = tower.make_field(2)
+    x9 = Point(tuple(tower.zero(f9) for _ in range(2)))
+    assert not verify_witness(law, tower, LangWitness(g, x9, 2, 3, 1))
+    # q that is not a power of the law's characteristic
+    assert not verify_witness(law, tower, LangWitness(g, w.x, w.n_multiplier, 4, 1))
+    # a witness with one coordinate for a two-dimensional law is a bug
+    # in the caller, not a failed verification
+    short = LangWitness(g, Point(w.x.coords[:1]), w.n_multiplier, 3, 1)
+    with pytest.raises(IndexError):
+        verify_witness(law, tower, short)
+
+
 def test_fiber_is_left_coset_exhaustive():
     """Solutions within one level form x0 * G^{F^m} of size (q^m)^d."""
     tower = FieldTower(3)

@@ -1,0 +1,142 @@
+"""Differential tests of the batched Lang solve and norm map.
+
+Random triangular DSL laws are the built-in laws of dimension 2 and 3
+transported along a random triangular coordinate change
+phi(x)_i = x_i + f_i(x_1, ..., x_{i-1}) over F_p: the product is
+phi^{-1}(phi(x) * phi(y)).  The batch is checked against the one-row
+solve, the scalar witness check and the brute-force solver.
+"""
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asaitwist.asai import centralizer_witness, norm_map
+from asaitwist.cli import main
+from asaitwist.errors import CapExceeded
+from asaitwist.fields import FieldTower
+from asaitwist.grouplaw import (
+    GroupLaw,
+    Polynomial,
+    all_tuples,
+    canonical_text,
+    make_law,
+    parse_group_dsl,
+    parse_group_name,
+)
+from asaitwist.lang import (
+    lang_solve_batch,
+    lang_solve_bruteforce,
+    lang_solve_triangular,
+    verify_witness,
+)
+from asaitwist.points import conjugacy_classes, digits_point, enumerate_group
+
+BUILTINS = ["n2", "ga_power(2)", "ga_power(3)", "ul(3)"]
+# brute-force witness search stops at groups larger than this
+BRUTE_MAX_ORDER = 1 << 15
+
+
+def _y_renamed(poly: Polynomial, d: int) -> Polynomial:
+    return Polynomial.make(poly.p, poly.nvars, [(c, e[d:] + e[:d]) for c, e in poly.terms])
+
+
+def transported_law(group: str, p: int, shifts) -> GroupLaw:
+    """group over F_p moved along phi(x)_i = x_i + shifts[i](x_{<i})."""
+    base = parse_group_name(group, p)
+    d, nv = base.dim, 2 * base.dim
+    phi = [Polynomial.variable(p, nv, i).add(shifts[i]) for i in range(d)]
+    images = {j: phi[j] for j in range(d)}
+    images.update({d + j: _y_renamed(phi[j], d) for j in range(d)})
+    product = [poly.subs(images) for poly in base.mul]
+    mul = []
+    for i in range(d):
+        # phi^{-1}(w)_i = w_i - f_i(phi^{-1}(w)_{<i})
+        mul.append(product[i].sub(shifts[i].subs({j: mul[j] for j in range(i)})))
+    return make_law("transported", p, d, tuple(mul))
+
+
+@st.composite
+def random_dsl_law(draw):
+    """A transported built-in law, parsed back from its DSL text, with (q, m)."""
+    group = draw(st.sampled_from(BUILTINS))
+    p = draw(st.sampled_from([2, 3]))
+    d = parse_group_name(group, p).dim
+    nv = 2 * d
+    shifts = [Polynomial.zero(p, nv)]
+    for i in range(1, d):
+        raw = []
+        for _ in range(draw(st.integers(0, 2))):
+            exps = [0] * nv
+            for _ in range(draw(st.integers(1, 2))):
+                exps[draw(st.integers(0, i - 1))] += 1
+            raw.append((draw(st.integers(1, p - 1)), tuple(exps)))
+        shifts.append(Polynomial.make(p, nv, raw))
+    law = parse_group_dsl(canonical_text(transported_law(group, p, shifts)))
+    m = draw(st.sampled_from([m for m in (1, 2) if p ** (m * d) <= 81]))
+    return law, p, m
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_dsl_law())
+def test_batch_agrees_with_one_row_solve_and_oracles(case):
+    law, q, m = case
+    tower = FieldTower(law.p)
+    view = enumerate_group(law, tower, q, m)
+    ops = view.ops
+    g = all_tuples(tower, view.field, law.dim)
+    groups = lang_solve_batch(law, tower, g, q, m)
+    rows = np.concatenate([rows for _, rows, _ in groups])
+    assert sorted(rows.tolist()) == list(range(view.order))
+    for fid, rows, xs in groups:
+        for row, x in zip(rows, xs):
+            point = digits_point(view.field, g[row])
+            one = lang_solve_triangular(law, tower, point, q, m)
+            assert one.x.field == fid
+            assert np.array_equal(x, np.array([c.coeffs for c in one.x.coords]))
+            assert verify_witness(law, tower, one)
+
+    table = conjugacy_classes(view)
+    result = norm_map(view, table)
+    brute_checked = 0
+    for ci in range(len(table)):
+        rep = table.rep_point(ci)
+        wb = lang_solve_bruteforce(law, tower, rep, q, m, max_order=BRUTE_MAX_ORDER)
+        if wb is not None:
+            brute_checked += 1
+            img = ops.mul(ops.inv(ops.frobenius(wb.x, q, m)), wb.x)
+            img = ops.section(img, view.field)
+            assert table.class_of[view.index_of(img)] == result.perm[ci]
+        w = centralizer_witness(result, ci)
+        assert (w is not None) == (result.perm[ci] == ci)
+        if w is not None:
+            ge = ops.embed(rep, w.z.field)
+            assert ops.mul(w.z, ge) == ops.mul(ge, w.z)
+            assert ops.mul(ops.inv(w.z), ops.frobenius(w.z, q, m)) == ge
+    assert brute_checked >= 1  # at least the identity class
+
+
+@pytest.mark.parametrize("group,p", [("n2", 3), ("ul(3)", 2), ("ga_power(2)", 2)])
+def test_batch_raises_cap_exceeded(group, p):
+    law = parse_group_name(group, p)
+    tower = FieldTower(p)
+    view = enumerate_group(law, tower, p, 1)
+    g = all_tuples(tower, view.field, law.dim)
+    # t^p - t = 1 has no root in F_p, so some row needs degree p
+    with pytest.raises(CapExceeded):
+        lang_solve_batch(law, tower, g, p, 1, max_degree=1)
+
+
+def test_cli_cap_exceeded_from_batch_exits_4(tmp_path):
+    shifts = [Polynomial.zero(3, 4), Polynomial.make(3, 4, [(1, (2, 0, 0, 0))])]
+    law = transported_law("n2", 3, shifts)
+    dsl = tmp_path / "law.txt"
+    dsl.write_text(canonical_text(law))
+    res = CliRunner().invoke(
+        main, ["asai", "--dsl", str(dsl), "--q", "3", "--m", "1", "--max-ext", "2"]
+    )
+    assert res.exit_code == 4
+    assert "cap exceeded" in res.output
+
