@@ -67,25 +67,13 @@ class RunConfig:
         if self.max_order <= 0 or (self.max_ext is not None and self.max_ext <= 0):
             raise ParameterError("caps must be positive")
 
-    def to_args(self) -> list[str]:
+    def to_args(self, cmd: click.Command) -> list[str]:
+        """Argv for `cmd`, passing only the options it declares."""
         args = []
-        for key in (
-            "group", "dsl", "q", "m", "max_m", "out", "cache",
-            "max_order", "max_ext", "sample_budget",
-        ):
-            value = getattr(self, key)
-            if value is None:
-                continue
-            flag = "--" + key.replace("_", "-")
-            if self.command == "validate" and key in ("m", "max_m", "out", "cache", "max_order", "max_ext"):
-                continue
-            if self.command == "classes" and key in ("max_m", "max_ext", "sample_budget"):
-                continue
-            if self.command == "asai" and key in ("max_m", "sample_budget"):
-                continue
-            if self.command == "easy-check" and key in ("m", "cache", "sample_budget"):
-                continue
-            args.extend([flag, str(value)])
+        for param in cmd.params:
+            value = getattr(self, param.name)
+            if value is not None:
+                args.extend(["--" + param.name.replace("_", "-"), str(value)])
         return args
 
 
@@ -148,6 +136,13 @@ def _emit(report: dict, out: str | None):
         click.echo(f"report written to {out}", err=True)
     else:
         click.echo(text, nl=False)
+
+
+def _classes_block(table) -> list[dict]:
+    return [
+        {"rep": _serialize_point(table.rep_point(ci)), "size": size}
+        for ci, size in enumerate(table.sizes)
+    ]
 
 
 def _group_block(law) -> dict:
@@ -257,10 +252,7 @@ def classes(group, dsl, q, m, out, cache, max_order):
             "q": q,
             "m": m,
             "order": table.view.order,
-            "classes": [
-                {"rep": _serialize_point(table.rep_point(ci)), "size": table.sizes[ci]}
-                for ci in range(len(table))
-            ],
+            "classes": _classes_block(table),
             "caps": {"max_order": max_order},
         }
         _emit(report, out)
@@ -287,6 +279,7 @@ def asai(group, dsl, q, m, out, cache, max_order, max_ext):
         result = norm_map(table.view, table, max_degree=max_degree)
         witnesses = [centralizer_witness(result, ci) for ci in range(len(table))]
         fixed = [result.perm[ci] == ci for ci in range(len(table))]
+        class_block = _classes_block(table)
         report = {
             "version": __version__,
             "schema": SCHEMA_VERSION,
@@ -295,10 +288,7 @@ def asai(group, dsl, q, m, out, cache, max_order, max_ext):
             "q": q,
             "m": m,
             "order": table.view.order,
-            "classes": [
-                {"rep": _serialize_point(table.rep_point(ci)), "size": table.sizes[ci]}
-                for ci in range(len(table))
-            ],
+            "classes": class_block,
             "norm_perm": list(result.perm),
             "fixed": fixed,
             "centralizer_witnesses": [
@@ -319,8 +309,8 @@ def asai(group, dsl, q, m, out, cache, max_order, max_ext):
             # preserves the inner product of delta functions, i.e. whether
             # the permutation preserves class sizes
             "operator_preserves_class_sizes": all(
-                table.sizes[result.perm[ci]] == table.sizes[ci]
-                for ci in range(len(table))
+                class_block[image]["size"] == c["size"]
+                for image, c in zip(result.perm, class_block)
             ),
             "caps": {"max_order": max_order, "max_degree": max_degree},
             "timings": dict(
@@ -362,13 +352,7 @@ def easy_check(group, dsl, q, max_m, out, max_order, max_ext):
                 {
                     "m": lc.m,
                     "order": table.view.order,
-                    "classes": [
-                        {
-                            "rep": _serialize_point(table.rep_point(ci)),
-                            "size": table.sizes[ci],
-                        }
-                        for ci in range(len(table))
-                    ],
+                    "classes": _classes_block(table),
                     "norm_perm": list(lc.result.perm),
                     "fixed": lc.fixed,
                     "witness_found": [w is not None for w in lc.witnesses],
@@ -442,10 +426,11 @@ def run(config):
             click.echo(f"job {i}: bad config: {exc}", err=True)
             worst = max(worst, 3)
             continue
-        args = cfg.to_args()
+        cmd = commands[cfg.command]
+        args = cfg.to_args(cmd)
         click.echo(f"job {i}: {cfg.command} {' '.join(args)}", err=True)
         try:
-            commands[cfg.command].main(args=args, standalone_mode=False)
+            cmd.main(args=args, standalone_mode=False)
         except SystemExit as exc:
             worst = max(worst, int(exc.code or 0))
         except click.ClickException as exc:

@@ -221,7 +221,9 @@ def easiness_crosscheck(
         try:
             lc = check_level(law, tower, q, m, max_order=max_order, max_degree=max_degree)
         except CapExceeded:
-            verdict = EasinessVerdict(kind="inconclusive", up_to_m=m - 1, evidence=evidence)
+            # a non-easiness certificate from an earlier level stands
+            if verdict is None:
+                verdict = EasinessVerdict(kind="inconclusive", up_to_m=m - 1)
             break
         levels.append(lc)
         trivial = all(lc.fixed)
@@ -232,12 +234,10 @@ def easiness_crosscheck(
                 kind=NOT_EASY,
                 witness=lc.result.table.rep_point(ci),
                 witness_m=m,
-                evidence=evidence,
             )
     if verdict is None:
-        verdict = EasinessVerdict(kind="easy_up_to", up_to_m=max_m, evidence=evidence)
-    elif verdict.kind == NOT_EASY:
-        verdict.evidence = evidence
+        verdict = EasinessVerdict(kind="easy_up_to", up_to_m=max_m)
+    verdict.evidence = evidence
 
     internally_consistent = all(lc.consistent for lc in levels)
     label = family_oracle(law)

@@ -7,10 +7,13 @@ are indexed canonically by a mixed-radix code with coordinate 1 the most
 significant digit, which makes the ordinal of an element equal to its
 code: list position, lookup key and canonical order all coincide.
 
-For levels with at most CODE_TABLE_MAX_Q field elements the view carries
-add/mul lookup tables, so a whole-group conjugation pass is a handful of
-fancy-indexing operations; bigger levels fall back to the digit kernels.
-Views and class tables are immutable after construction.
+Conjugation has one backend: add/mul lookup tables over the codes of
+F_{q^m}, so a whole-group conjugation pass is a handful of
+fancy-indexing operations.  Commutative laws build no tables, since every
+conjugate of g is g.  A noncommutative law has dimension d >= 2 (a
+triangular law of dimension 1 is x1 + y1), so its tables have
+(q^m)^2 <= (q^m)^d = |G| entries.  Views and class tables are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -24,14 +27,12 @@ from .fields import FieldElement, FieldId, FieldTower, p_power_exponent
 from .grouplaw import (
     GroupLaw,
     Polynomial,
-    all_tuples,
     eval_inv,
     eval_mul,
     point_frobenius,
 )
 
 DEFAULT_MAX_ORDER = 2_000_000
-CODE_TABLE_MAX_Q = 2048
 _CHUNK = 1 << 16
 
 
@@ -204,21 +205,11 @@ class FiniteGroupView:
             shift = big_q ** (law.dim - 1 - j)
             cols.append((ordinals // shift) % big_q)
         self.codes = np.stack(cols, axis=-1)
-        self.tables = (
-            _CodeTables(tower, self.field) if big_q <= CODE_TABLE_MAX_Q else None
-        )
-        self.inv_codes = self._compute_inverses()
-
-    def _compute_inverses(self) -> np.ndarray:
-        if self.tables is not None:
-            return _eval_inv_codes(self.law, self.tables, self.codes)
-        out = np.empty_like(self.codes)
-        for lo in range(0, self.order, _CHUNK):
-            hi = min(lo + _CHUNK, self.order)
-            digs = self._codes_to_digits(self.codes[lo:hi])
-            inv = eval_inv(self.law, self.tower, self.field, digs)
-            out[lo:hi] = self._digits_to_codes(inv)
-        return out
+        self.commutative = _commutative_as_polynomials(law)
+        self.tables = self.inv_codes = None
+        if not self.commutative:
+            self.tables = _CodeTables(tower, self.field)
+            self.inv_codes = _eval_inv_codes(law, self.tables, self.codes)
 
     def _codes_to_digits(self, codes: np.ndarray) -> np.ndarray:
         return np.stack(
@@ -266,47 +257,27 @@ class FiniteGroupView:
 
     # ---- whole-group conjugation kernels ----
 
+    def _conjugates(self, g_codes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Combined codes of h^{-1} g h for the ordinals h in [lo, hi)."""
+        if self.commutative:
+            return np.full(hi - lo, int(self.combine(g_codes)), dtype=np.int64)
+        u = _eval_mul_codes(self.law, self.tables, g_codes[None, :], self.codes[lo:hi])
+        z = _eval_mul_codes(self.law, self.tables, self.inv_codes[lo:hi], u)
+        return self.combine(z)
+
     def conjugates_combined(self, g_codes: np.ndarray) -> np.ndarray:
         """Combined codes of h^{-1} g h over all h, in ordinal order."""
-        if self.tables is not None:
-            u = _eval_mul_codes(self.law, self.tables, g_codes[None, :], self.codes)
-            z = _eval_mul_codes(self.law, self.tables, self.inv_codes, u)
-            return self.combine(z)
-        out = np.empty(self.order, dtype=np.int64)
-        fid, law, tower = self.field, self.law, self.tower
-        gd = self._codes_to_digits(g_codes)
-        for lo in range(0, self.order, _CHUNK):
-            hi = min(lo + _CHUNK, self.order)
-            h = self._codes_to_digits(self.codes[lo:hi])
-            hinv = self._codes_to_digits(self.inv_codes[lo:hi])
-            z = eval_mul(law, tower, fid, hinv, eval_mul(law, tower, fid, gd[None], h))
-            out[lo:hi] = self.combine(self._digits_to_codes(z))
-        return out
+        return self._conjugates(g_codes, 0, self.order)
 
     def find_conjugator(self, g_codes: np.ndarray, target_codes: np.ndarray) -> int | None:
         """Least ordinal h with h^{-1} g h = target, scanning in chunks."""
         target = int(self.combine(target_codes))
         if int(self.combine(g_codes)) == target:
             return 0
-        fid, law, tower = self.field, self.law, self.tower
-        use_tables = self.tables is not None
-        if not use_tables:
-            gd = self._codes_to_digits(g_codes)
         for lo in range(0, self.order, _CHUNK):
-            hi = min(lo + _CHUNK, self.order)
-            if use_tables:
-                u = _eval_mul_codes(
-                    self.law, self.tables, g_codes[None, :], self.codes[lo:hi]
-                )
-                z = _eval_mul_codes(self.law, self.tables, self.inv_codes[lo:hi], u)
-            else:
-                h = self._codes_to_digits(self.codes[lo:hi])
-                hinv = self._codes_to_digits(self.inv_codes[lo:hi])
-                zd = eval_mul(
-                    law, tower, fid, hinv, eval_mul(law, tower, fid, gd[None], h)
-                )
-                z = self._digits_to_codes(zd)
-            hits = np.nonzero(self.combine(z) == target)[0]
+            hits = np.nonzero(
+                self._conjugates(g_codes, lo, min(lo + _CHUNK, self.order)) == target
+            )[0]
             if hits.size:
                 return lo + int(hits[0])
         return None
@@ -352,7 +323,7 @@ class ClassTable:
 
 def conjugacy_classes(view: FiniteGroupView) -> ClassTable:
     n = view.order
-    if _commutative_as_polynomials(view.law):
+    if view.commutative:
         reps = np.arange(n, dtype=np.int64)
         members = [np.array([i], dtype=np.int64) for i in range(n)]
         return ClassTable(view, reps, members, reps.copy())
@@ -388,21 +359,7 @@ def centralizer(view: FiniteGroupView, g: Point) -> np.ndarray:
     if g.field != view.field:
         raise ParameterError("g is not in this view")
     gc = view.point_codes(g)
-    if view.tables is not None:
-        gh = _eval_mul_codes(view.law, view.tables, gc[None, :], view.codes)
-        hg = _eval_mul_codes(view.law, view.tables, view.codes, gc[None, :])
-        return np.nonzero(view.combine(gh) == view.combine(hg))[0]
-    gd = point_digits(g)
-    law, tower, fid = view.law, view.tower, view.field
-    hits = []
-    for lo in range(0, view.order, _CHUNK):
-        hi = min(lo + _CHUNK, view.order)
-        h = view._codes_to_digits(view.codes[lo:hi])
-        gh = eval_mul(law, tower, fid, gd[None], h)
-        hg = eval_mul(law, tower, fid, h, gd[None])
-        mask = np.all(gh == hg, axis=(-2, -1))
-        hits.append(lo + np.nonzero(mask)[0])
-    return np.concatenate(hits)
+    return np.nonzero(view._conjugates(gc, 0, view.order) == view.combine(gc))[0]
 
 
 @dataclass
@@ -431,24 +388,10 @@ def centralizer_counts(
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> CentralizerGrowth:
     """|Z(g) ∩ G(F_{q^{mN}})| for each N, by enumeration at level q^{mN}."""
-    n = p_power_exponent(q, law.p)
     counts = []
     for N in n_range:
-        order = (q ** (m * N)) ** law.dim
-        if order > max_order:
-            raise CapExceeded(f"level q^{m * N}: order {order} exceeds cap")
-        fid = tower.make_field(n * m * N)
-        gd = np.stack(
-            [tower.vembed(g.field, fid, np.array(c.coeffs, dtype=np.int64)) for c in g.coords]
-        )
-        count = 0
-        for lo in range(0, order, _CHUNK):
-            codes = np.arange(lo, min(lo + _CHUNK, order), dtype=np.int64)
-            elems = all_tuples(tower, fid, law.dim, codes)
-            gh = eval_mul(law, tower, fid, gd[None, :, :], elems)
-            hg = eval_mul(law, tower, fid, elems, gd[None, :, :])
-            count += int(np.sum(np.all(gh == hg, axis=(-2, -1))))
-        counts.append((N, count))
+        view = enumerate_group(law, tower, q, m * N, max_order=max_order)
+        counts.append((N, int(centralizer(view, view.ops.embed(g, view.field)).size)))
     dim, comp, stable = _growth_estimates(counts, q**m)
     return CentralizerGrowth(counts, dim, comp, stable)
 

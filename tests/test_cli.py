@@ -264,6 +264,14 @@ def test_run_batch(runner, tmp_path):
                 "max_m": 2,
                 "out": str(tmp_path / "out2.json"),
             },
+            {
+                "command": "classes",
+                "group": "ul(3)",
+                "q": 2,
+                "m": 2,
+                "cache": str(tmp_path / "cache"),
+                "out": str(tmp_path / "out3.json"),
+            },
         ]
     }
     cfg_path = tmp_path / "batch.json"
@@ -271,6 +279,8 @@ def test_run_batch(runner, tmp_path):
     res = invoke(runner, ["run", "--config", str(cfg_path)])
     assert res.exit_code == 0
     assert (tmp_path / "out1.json").exists() and (tmp_path / "out2.json").exists()
+    assert json.loads((tmp_path / "out3.json").read_text())["order"] == 64
+    assert len(list((tmp_path / "cache").iterdir())) == 1
 
 
 def test_run_batch_propagates_failure(runner, tmp_path):

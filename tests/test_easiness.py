@@ -64,6 +64,15 @@ def test_crosscheck_n2():
     assert rep.verdict.kind == NOT_EASY
 
 
+def test_crosscheck_cap_hit_keeps_not_easy_certificate():
+    tower = FieldTower(3)
+    rep = easiness_crosscheck(builtin("n2", 3), tower, 3, max_m=3, max_order=81)
+    assert len(rep.levels) == 2
+    assert rep.label_status == "confirmed"
+    assert rep.verdict.kind == NOT_EASY and rep.verdict.witness_m == 1
+    assert rep.verdict.evidence == [(1, False), (2, False)]
+
+
 def test_crosscheck_ul3():
     tower = FieldTower(2)
     rep = easiness_crosscheck(builtin("ul", 2, 3), tower, 2, max_m=2)
