@@ -18,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from asaitwist.errors import CapExceeded  # noqa: E402
 from asaitwist.fields import FieldTower  # noqa: E402
 from asaitwist.grouplaw import parse_group_name  # noqa: E402
 from asaitwist.points import (  # noqa: E402
@@ -44,22 +45,26 @@ def main() -> int:
         d += 1
     law = parse_group_name(args.group, p)
     tower = FieldTower(p)
-    view = enumerate_group(law, tower, args.q, 1, max_order=args.max_order)
-    table = conjugacy_classes(view)
-    print(f"{law.name} over F_{args.q}: {view.order} points, {len(table)} classes")
-    for ci in range(len(table)):
-        g = table.rep_point(ci)
-        growth = centralizer_counts(
-            law, tower, g, args.q, 1, range(1, args.levels + 1),
-            max_order=args.max_order,
-        )
-        counts = " ".join(f"{c}" for _, c in growth.counts)
-        if growth.stable:
-            est = f"dim={growth.dimension} components={growth.components}"
-        else:
-            est = "unstable window (no estimate)"
-        rep = tuple(c.coeffs for c in g.coords)
-        print(f"  class {ci:>3} rep={rep} |class|={table.sizes[ci]:>4}  counts: {counts:<24} {est}")
+    try:
+        view = enumerate_group(law, tower, args.q, 1, max_order=args.max_order)
+        table = conjugacy_classes(view)
+        print(f"{law.name} over F_{args.q}: {view.order} points, {len(table)} classes")
+        for ci in range(len(table)):
+            g = table.rep_point(ci)
+            growth = centralizer_counts(
+                law, tower, g, args.q, 1, range(1, args.levels + 1),
+                max_order=args.max_order,
+            )
+            counts = " ".join(f"{c}" for _, c in growth.counts)
+            if growth.stable:
+                est = f"dim={growth.dimension} components={growth.components}"
+            else:
+                est = "unstable window (no estimate)"
+            rep = tuple(c.coeffs for c in g.coords)
+            print(f"  class {ci:>3} rep={rep} |class|={table.sizes[ci]:>4}  counts: {counts:<24} {est}")
+    except CapExceeded as exc:
+        print(f"error: cap exceeded: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

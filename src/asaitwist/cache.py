@@ -109,10 +109,14 @@ def load_class_table(
     if class_of.shape != (view.order,):
         _warn(f"cache {path.name}: malformed class map, ignoring")
         return None
-    nclasses = int(class_of.max()) + 1 if view.order else 0
-    members = [np.nonzero(class_of == ci)[0] for ci in range(nclasses)]
-    if any(m.size == 0 for m in members):
+    # one stable sort groups the ordinals by class, each class ascending;
+    # classes are numbered in order of their least member
+    labels, reps, counts = np.unique(class_of, return_index=True, return_counts=True)
+    if labels[0] < 0 or np.any(np.diff(reps) <= 0):
+        _warn(f"cache {path.name}: malformed class map, ignoring")
+        return None
+    if labels[-1] != labels.size - 1:
         _warn(f"cache {path.name}: empty class, ignoring")
         return None
-    reps = np.array([int(m[0]) for m in members], dtype=np.int64)
+    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(counts)[:-1])
     return ClassTable(view, reps, members, class_of)

@@ -6,9 +6,14 @@ same configuration produce byte-identical files; wall-clock timing and
 cache hit/miss chatter go to stderr only.  The report's "timings" block
 holds deterministic work counters for the same reason.
 
-Exit codes: 0 success, 2 parse error, 3 validation failure, 4 cap
-exceeded, 5 internal inconsistency (fixed-class/witness biconditional
-violated: always a bug).
+A job is one `RunConfig`: a direct command and each job of a `run` batch
+go through the same `_job`, which checks the options once, runs the
+command's body and maps its failure to an exit code.
+
+Exit codes: 0 success, 2 parse error, 3 validation failure (bad options,
+or an unreadable input or unwritable output file), 4 cap exceeded, 5
+internal inconsistency (fixed-class/witness biconditional violated) or
+an unexpected error: always a bug.  `run` exits with its worst job's code.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from __future__ import annotations
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
+from math import isqrt
 from pathlib import Path
 
 import click
@@ -33,7 +40,7 @@ from .errors import (
     InternalInconsistencyError,
     ParameterError,
 )
-from .fields import DEFAULT_DEGREE_CAP, FieldTower, is_prime
+from .fields import DEFAULT_DEGREE_CAP, FieldTower, p_power_exponent
 from .grouplaw import canonical_text, parse_group_dsl, parse_group_name, validate_law
 from .lang import default_degree_cap
 from .points import DEFAULT_MAX_ORDER, Point, conjugacy_classes, enumerate_group
@@ -41,8 +48,10 @@ from .points import DEFAULT_MAX_ORDER, Point, conjugacy_classes, enumerate_group
 
 @dataclass
 class RunConfig:
-    """One batch job: which command to run and with what knobs.
+    """One job: which command to run and with what options.
 
+    The defaults are the CLI's, and every option check lives here, so a
+    direct command and a `run` job accept and reject the same options.
     Runs are seedless-deterministic by construction: identical configs
     always produce identical reports, so there is no seed to carry.
     """
@@ -51,8 +60,8 @@ class RunConfig:
     q: int
     group: str | None = None
     dsl: str | None = None
-    m: int | None = None
-    max_m: int | None = None
+    m: int = 1
+    max_m: int = 3
     out: str | None = None
     cache: str | None = None
     max_order: int = DEFAULT_MAX_ORDER
@@ -60,63 +69,39 @@ class RunConfig:
     sample_budget: int = 1000
 
     def __post_init__(self):
-        if self.command not in ("validate", "classes", "asai", "easy-check"):
+        if self.command not in _BODIES:
             raise ParameterError(f"unknown command {self.command!r}")
+        for name in ("q", "m", "max_m", "max_order", "sample_budget", "max_ext"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "max_ext" and value is None):
+                raise ParameterError(f"{name} must be an integer, not {value!r}")
+        for name in ("group", "dsl", "out", "cache"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ParameterError(f"{name} must be a string")
         if (self.group is None) == (self.dsl is None):
-            raise ParameterError("exactly one of group/dsl is required")
-        if self.max_order <= 0 or (self.max_ext is not None and self.max_ext <= 0):
-            raise ParameterError("caps must be positive")
-
-    def to_args(self, cmd: click.Command) -> list[str]:
-        """Argv for `cmd`, passing only the options it declares."""
-        args = []
-        for param in cmd.params:
-            value = getattr(self, param.name)
-            if value is not None:
-                args.extend(["--" + param.name.replace("_", "-"), str(value)])
-        return args
+            raise ParameterError("exactly one of --group or --dsl is required")
+        if any(c is not None and c <= 0 for c in (self.max_order, self.sample_budget, self.max_ext)):
+            raise ParameterError("max_order, max_ext and sample_budget must be positive")
+        if self.m < 1 or self.max_m < 1:
+            raise ParameterError("m and max_m must be at least 1")
 
 
-def _smallest_prime_factor(q: int) -> int:
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
-
-
-def _resolve_law(
-    group: str | None,
-    dsl: str | None,
-    q: int,
-    max_ext: int | None,
-    check_axioms: bool = False,
-):
-    if (group is None) == (dsl is None):
-        raise ParameterError("exactly one of --group or --dsl is required")
-    if q < 2:
+def _resolve_law(cfg: RunConfig, check_axioms: bool = False):
+    if cfg.q < 2:
         raise ParameterError("q must be a prime power >= 2")
-    p = _smallest_prime_factor(q)
-    if not is_prime(p):
-        raise ParameterError(f"q = {q} is not a prime power")
-    qq = q
-    while qq > 1:
-        if qq % p:
-            raise ParameterError(f"q = {q} is not a prime power")
-        qq //= p
-    if dsl is not None:
-        text = Path(dsl).read_text(encoding="utf-8")
-        law = parse_group_dsl(text)
+    p = next((d for d in range(2, isqrt(cfg.q) + 1) if cfg.q % d == 0), cfg.q)
+    p_power_exponent(cfg.q, p)
+    if cfg.dsl is not None:
+        law = parse_group_dsl(Path(cfg.dsl).read_text(encoding="utf-8"))
     else:
-        law = parse_group_name(group, p)
+        law = parse_group_name(cfg.group, p)
     if law.p != p:
-        raise ParameterError(f"law characteristic {law.p} does not match q = {q}")
-    tower = FieldTower(p, degree_cap=max_ext if max_ext else DEFAULT_DEGREE_CAP)
-    if check_axioms and dsl is not None:
+        raise ParameterError(f"law characteristic {law.p} does not match q = {cfg.q}")
+    tower = FieldTower(p, degree_cap=cfg.max_ext or DEFAULT_DEGREE_CAP)
+    if check_axioms and cfg.dsl is not None:
         # the parser checks identity and triangularity only; associativity
         # must be validated before a user law is first computed with
-        rep = validate_law(law, tower, q)
+        rep = validate_law(law, tower, cfg.q)
         if not rep.passed:
             raise GroupLawSemanticError(
                 "law fails validation: " + "; ".join(rep.failures())
@@ -155,34 +140,184 @@ def _group_block(law) -> dict:
     }
 
 
-def _load_or_compute_table(law, tower, q, m, max_order, cache_dir):
-    if cache_dir:
-        path = class_table_path(cache_dir, law, q, m)
+def _load_or_compute_table(law, tower, cfg: RunConfig):
+    path = class_table_path(cfg.cache, law, cfg.q, cfg.m) if cfg.cache else None
+    if path:
         table = load_class_table(
-            path, law, tower, q, m, max_order=max_order,
+            path, law, tower, cfg.q, cfg.m, max_order=cfg.max_order,
             warn=lambda msg: click.echo(f"warning: {msg}", err=True),
         )
         if table is not None:
             click.echo(f"cache hit: {path.name}", err=True)
             return table
-        view = enumerate_group(law, tower, q, m, max_order=max_order)
-        table = conjugacy_classes(view)
+    view = enumerate_group(law, tower, cfg.q, cfg.m, max_order=cfg.max_order)
+    table = conjugacy_classes(view)
+    if path:
         save_class_table(path, table)
         click.echo(f"cache miss: computed and saved {path.name}", err=True)
-        return table
-    view = enumerate_group(law, tower, q, m, max_order=max_order)
-    return conjugacy_classes(view)
+    return table
 
 
-def _guarded(body) -> None:
+def _validate_body(cfg: RunConfig) -> None:
+    law, tower = _resolve_law(cfg)
+    report = validate_law(law, tower, cfg.q, sample_budget=cfg.sample_budget)
+    for name, ok, detail in report.checks:
+        click.echo(f"{'ok  ' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
+    if not report.passed:
+        raise GroupLawSemanticError("; ".join(report.failures()))
+
+
+def _classes_body(cfg: RunConfig) -> None:
+    law, tower = _resolve_law(cfg, check_axioms=True)
+    table = _load_or_compute_table(law, tower, cfg)
+    report = {
+        "version": __version__,
+        "schema": SCHEMA_VERSION,
+        "group": _group_block(law),
+        "p": law.p,
+        "q": cfg.q,
+        "m": cfg.m,
+        "order": table.view.order,
+        "classes": _classes_block(table),
+        "caps": {"max_order": cfg.max_order},
+    }
+    _emit(report, cfg.out)
+
+
+def _asai_body(cfg: RunConfig) -> None:
+    law, tower = _resolve_law(cfg, check_axioms=True)
+    max_degree = cfg.max_ext or default_degree_cap(law, cfg.q, cfg.m)
+    table = _load_or_compute_table(law, tower, cfg)
+    result = norm_map(table.view, table, max_degree=max_degree)
+    witnesses = [centralizer_witness(result, ci) for ci in range(len(table))]
+    fixed = [result.perm[ci] == ci for ci in range(len(table))]
+    class_block = _classes_block(table)
+    report = {
+        "version": __version__,
+        "schema": SCHEMA_VERSION,
+        "group": _group_block(law),
+        "p": law.p,
+        "q": cfg.q,
+        "m": cfg.m,
+        "order": table.view.order,
+        "classes": class_block,
+        "norm_perm": list(result.perm),
+        "fixed": fixed,
+        "centralizer_witnesses": [
+            {"found": False}
+            if w is None
+            else {
+                "found": True,
+                "degree": w.z.field.degree,
+                "z": _serialize_point(w.z),
+            }
+            for w in witnesses
+        ],
+        "verdict": {
+            "trivial": is_asai_trivial(result),
+            "moved_classes": moved_classes(result),
+        },
+        # recorded empirically, asserted nowhere: whether the pullback
+        # preserves the inner product of delta functions, i.e. whether
+        # the permutation preserves class sizes
+        "operator_preserves_class_sizes": all(
+            class_block[image]["size"] == c["size"]
+            for image, c in zip(result.perm, class_block)
+        ),
+        "caps": {"max_order": cfg.max_order, "max_degree": max_degree},
+        "timings": dict(
+            result.stats,
+            note="deterministic work counters; wall-clock goes to stderr",
+        ),
+    }
+    _emit(report, cfg.out)
+    for ci, w in enumerate(witnesses):
+        if (w is not None) != fixed[ci]:
+            raise InternalInconsistencyError(
+                f"class {ci}: fixedness and witness existence disagree"
+            )
+
+
+def _easy_check_body(cfg: RunConfig) -> None:
+    law, tower = _resolve_law(cfg, check_axioms=True)
+    max_degree = cfg.max_ext or default_degree_cap(law, cfg.q, cfg.max_m)
+    rep = easiness_crosscheck(
+        law, tower, cfg.q, max_m=cfg.max_m, max_order=cfg.max_order, max_degree=max_degree
+    )
+    levels = []
+    for lc in rep.levels:
+        table = lc.result.table
+        levels.append(
+            {
+                "m": lc.m,
+                "order": table.view.order,
+                "classes": _classes_block(table),
+                "norm_perm": list(lc.result.perm),
+                "fixed": lc.fixed,
+                "witness_found": [w is not None for w in lc.witnesses],
+                "agree": lc.agree,
+            }
+        )
+    verdict = rep.verdict
+    report = {
+        "version": __version__,
+        "schema": SCHEMA_VERSION,
+        "group": _group_block(law),
+        "p": law.p,
+        "q": cfg.q,
+        "max_m": cfg.max_m,
+        "levels": levels,
+        "internally_consistent": rep.internally_consistent,
+        "family_label": {
+            "family": rep.family_label.family,
+            "label": rep.family_label.label,
+            "condition": rep.family_label.condition,
+            "rationale": rep.family_label.rationale,
+        },
+        "label_status": rep.label_status,
+        "verdict": {
+            "kind": verdict.kind,
+            "witness": None if verdict.witness is None else _serialize_point(verdict.witness),
+            "witness_m": verdict.witness_m,
+            "up_to_m": verdict.up_to_m,
+            "evidence": [[m, triv] for m, triv in verdict.evidence],
+        },
+        "caps": {"max_order": cfg.max_order, "max_degree": max_degree},
+        "timings": {
+            "levels_completed": len(levels),
+            "note": "deterministic work counters; wall-clock goes to stderr",
+        },
+    }
+    _emit(report, cfg.out)
+    if not rep.internally_consistent:
+        raise InternalInconsistencyError(
+            "fixed-class/witness biconditional violated; see report"
+        )
+    if rep.label_status == "CONTRADICTION":
+        raise InternalInconsistencyError(
+            "a ground-truth easy family showed a nontrivial operator; see report"
+        )
+
+
+_BODIES = {
+    "validate": _validate_body,
+    "classes": _classes_body,
+    "asai": _asai_body,
+    "easy-check": _easy_check_body,
+}
+
+
+def _job(command: str, **opts) -> int:
+    """Check the options, run the command's body, return its exit code."""
     t0 = time.monotonic()
     try:
-        body()
+        cfg = RunConfig(command, **opts)
+        _BODIES[cfg.command](cfg)
         code = 0
     except GroupLawSyntaxError as exc:
         click.echo(f"error: {exc}", err=True)
         code = 2
-    except (GroupLawSemanticError, ParameterError, IncompatibleFields) as exc:
+    except (GroupLawSemanticError, ParameterError, IncompatibleFields, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         code = 3
     except CapExceeded as exc:
@@ -191,7 +326,14 @@ def _guarded(body) -> None:
     except InternalInconsistencyError as exc:
         click.echo(f"internal inconsistency: {exc}", err=True)
         code = 5
+    except Exception:  # a bug: show where, and keep a batch going
+        click.echo(traceback.format_exc(), err=True, nl=False)
+        code = 5
     click.echo(f"elapsed {time.monotonic() - t0:.3f}s", err=True)
+    return code
+
+
+def _exit(code: int) -> None:
     if code:
         sys.exit(code)
 
@@ -199,9 +341,10 @@ def _guarded(body) -> None:
 _group_opt = click.option("--group", default=None, help="builtin name: ul(N), ga_power(D), n2")
 _dsl_opt = click.option("--dsl", default=None, type=click.Path(), help="path to a DSL law file")
 _q_opt = click.option("--q", required=True, type=int, help="base field size, a power of the law's p")
+_m_opt = click.option("--m", default=RunConfig.m, type=int, show_default=True)
 _out_opt = click.option("--out", default=None, type=click.Path(), help="report path (default stdout)")
 _cache_opt = click.option("--cache", default=None, type=click.Path(), help="cache directory for class tables")
-_max_order_opt = click.option("--max-order", default=DEFAULT_MAX_ORDER, type=int, show_default=True, help="largest group order to enumerate")
+_max_order_opt = click.option("--max-order", default=RunConfig.max_order, type=int, show_default=True, help="largest group order to enumerate")
 _max_ext_opt = click.option("--max-ext", default=None, type=int, help="extension-degree cap over F_p (default p^dim * m * deg(q))")
 
 
@@ -215,191 +358,65 @@ def main():
 @_group_opt
 @_dsl_opt
 @_q_opt
-@click.option("--sample-budget", default=1000, type=int, show_default=True)
-def validate(group, dsl, q, sample_budget):
+@click.option("--sample-budget", default=RunConfig.sample_budget, type=int, show_default=True)
+def validate(**opts):
     """Check group axioms of a law at level F_q."""
-
-    def body():
-        law, tower = _resolve_law(group, dsl, q, None)
-        report = validate_law(law, tower, q, sample_budget=sample_budget)
-        for name, ok, detail in report.checks:
-            click.echo(f"{'ok  ' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
-        if not report.passed:
-            raise GroupLawSemanticError("; ".join(report.failures()))
-
-    _guarded(body)
+    _exit(_job("validate", **opts))
 
 
 @main.command()
 @_group_opt
 @_dsl_opt
 @_q_opt
-@click.option("--m", default=1, type=int, show_default=True)
+@_m_opt
 @_out_opt
 @_cache_opt
 @_max_order_opt
-def classes(group, dsl, q, m, out, cache, max_order):
+def classes(**opts):
     """Conjugacy classes of G(F_{q^m})."""
-
-    def body():
-        law, tower = _resolve_law(group, dsl, q, None, check_axioms=True)
-        table = _load_or_compute_table(law, tower, q, m, max_order, cache)
-        report = {
-            "version": __version__,
-            "schema": SCHEMA_VERSION,
-            "group": _group_block(law),
-            "p": law.p,
-            "q": q,
-            "m": m,
-            "order": table.view.order,
-            "classes": _classes_block(table),
-            "caps": {"max_order": max_order},
-        }
-        _emit(report, out)
-
-    _guarded(body)
+    _exit(_job("classes", **opts))
 
 
 @main.command()
 @_group_opt
 @_dsl_opt
 @_q_opt
-@click.option("--m", default=1, type=int, show_default=True)
+@_m_opt
 @_out_opt
 @_cache_opt
 @_max_order_opt
 @_max_ext_opt
-def asai(group, dsl, q, m, out, cache, max_order, max_ext):
+def asai(**opts):
     """Norm-map permutation and twisting-operator triviality at one m."""
-
-    def body():
-        law, tower = _resolve_law(group, dsl, q, max_ext, check_axioms=True)
-        max_degree = max_ext if max_ext else default_degree_cap(law, q, m)
-        table = _load_or_compute_table(law, tower, q, m, max_order, cache)
-        result = norm_map(table.view, table, max_degree=max_degree)
-        witnesses = [centralizer_witness(result, ci) for ci in range(len(table))]
-        fixed = [result.perm[ci] == ci for ci in range(len(table))]
-        class_block = _classes_block(table)
-        report = {
-            "version": __version__,
-            "schema": SCHEMA_VERSION,
-            "group": _group_block(law),
-            "p": law.p,
-            "q": q,
-            "m": m,
-            "order": table.view.order,
-            "classes": class_block,
-            "norm_perm": list(result.perm),
-            "fixed": fixed,
-            "centralizer_witnesses": [
-                {"found": False}
-                if w is None
-                else {
-                    "found": True,
-                    "degree": w.z.field.degree,
-                    "z": _serialize_point(w.z),
-                }
-                for w in witnesses
-            ],
-            "verdict": {
-                "trivial": is_asai_trivial(result),
-                "moved_classes": moved_classes(result),
-            },
-            # recorded empirically, asserted nowhere: whether the pullback
-            # preserves the inner product of delta functions, i.e. whether
-            # the permutation preserves class sizes
-            "operator_preserves_class_sizes": all(
-                class_block[image]["size"] == c["size"]
-                for image, c in zip(result.perm, class_block)
-            ),
-            "caps": {"max_order": max_order, "max_degree": max_degree},
-            "timings": dict(
-                result.stats,
-                note="deterministic work counters; wall-clock goes to stderr",
-            ),
-        }
-        _emit(report, out)
-        for ci, w in enumerate(witnesses):
-            if (w is not None) != fixed[ci]:
-                raise InternalInconsistencyError(
-                    f"class {ci}: fixedness and witness existence disagree"
-                )
-
-    _guarded(body)
+    _exit(_job("asai", **opts))
 
 
 @main.command(name="easy-check")
 @_group_opt
 @_dsl_opt
 @_q_opt
-@click.option("--max-m", default=3, type=int, show_default=True)
+@click.option("--max-m", default=RunConfig.max_m, type=int, show_default=True)
 @_out_opt
 @_max_order_opt
 @_max_ext_opt
-def easy_check(group, dsl, q, max_m, out, max_order, max_ext):
+def easy_check(**opts):
     """Scan m = 1..max_m, crosscheck witnesses, compare the family label."""
+    _exit(_job("easy-check", **opts))
 
-    def body():
-        law, tower = _resolve_law(group, dsl, q, max_ext, check_axioms=True)
-        max_degree = max_ext if max_ext else default_degree_cap(law, q, max_m)
-        rep = easiness_crosscheck(
-            law, tower, q, max_m=max_m, max_order=max_order, max_degree=max_degree
-        )
-        levels = []
-        for lc in rep.levels:
-            table = lc.result.table
-            levels.append(
-                {
-                    "m": lc.m,
-                    "order": table.view.order,
-                    "classes": _classes_block(table),
-                    "norm_perm": list(lc.result.perm),
-                    "fixed": lc.fixed,
-                    "witness_found": [w is not None for w in lc.witnesses],
-                    "agree": lc.agree,
-                }
-            )
-        verdict = rep.verdict
-        report = {
-            "version": __version__,
-            "schema": SCHEMA_VERSION,
-            "group": _group_block(law),
-            "p": law.p,
-            "q": q,
-            "max_m": max_m,
-            "levels": levels,
-            "internally_consistent": rep.internally_consistent,
-            "family_label": {
-                "family": rep.family_label.family,
-                "label": rep.family_label.label,
-                "condition": rep.family_label.condition,
-                "rationale": rep.family_label.rationale,
-            },
-            "label_status": rep.label_status,
-            "verdict": {
-                "kind": verdict.kind,
-                "witness": None if verdict.witness is None else _serialize_point(verdict.witness),
-                "witness_m": verdict.witness_m,
-                "up_to_m": verdict.up_to_m,
-                "evidence": [[m, triv] for m, triv in verdict.evidence],
-            },
-            "caps": {"max_order": max_order, "max_degree": max_degree},
-            "timings": {
-                "levels_completed": len(levels),
-                "note": "deterministic work counters; wall-clock goes to stderr",
-            },
-        }
-        _emit(report, out)
-        if not rep.internally_consistent:
-            raise InternalInconsistencyError(
-                "fixed-class/witness biconditional violated; see report"
-            )
-        if rep.label_status == "CONTRADICTION":
-            raise InternalInconsistencyError(
-                "a ground-truth easy family showed a nontrivial operator; see report"
-            )
 
-    _guarded(body)
+def _bad_job(job) -> str | None:
+    """Why a batch job cannot run, or None; its keys are its command's options."""
+    command = job.get("command") if isinstance(job, dict) else None
+    if not isinstance(command, str) or command not in _BODIES:
+        return "a job is an object whose command is one of " + ", ".join(_BODIES)
+    params = main.commands[command].params
+    extra = sorted(set(job) - {"command"} - {p.name for p in params})
+    missing = [p.name for p in params if p.required and p.name not in job]
+    if extra:
+        return f"{command} has no option {', '.join(extra)}"
+    if missing:
+        return f"{command} needs option {', '.join(missing)}"
+    return None
 
 
 @main.command()
@@ -408,36 +425,20 @@ def run(config):
     """Run a batch of jobs from a config file.
 
     The config is {"jobs": [{...}]} where each job carries "command"
-    (validate | classes | asai | easy-check) plus that command's options.
+    (validate | classes | asai | easy-check) plus options of that command.
+    Every job runs; the batch exits with the worst job's code.
     """
     doc = json.loads(Path(config).read_text(encoding="utf-8"))
-    jobs = doc.get("jobs", [])
-    commands = {
-        "validate": validate,
-        "classes": classes,
-        "asai": asai,
-        "easy-check": easy_check,
-    }
     worst = 0
-    for i, job in enumerate(jobs):
-        try:
-            cfg = RunConfig(**job)
-        except (TypeError, ParameterError) as exc:
-            click.echo(f"job {i}: bad config: {exc}", err=True)
+    for i, job in enumerate(doc.get("jobs", [])):
+        click.echo(f"job {i}: {json.dumps(job, sort_keys=True)}", err=True)
+        problem = _bad_job(job)
+        if problem:
+            click.echo(f"job {i}: bad config: {problem}", err=True)
             worst = max(worst, 3)
-            continue
-        cmd = commands[cfg.command]
-        args = cfg.to_args(cmd)
-        click.echo(f"job {i}: {cfg.command} {' '.join(args)}", err=True)
-        try:
-            cmd.main(args=args, standalone_mode=False)
-        except SystemExit as exc:
-            worst = max(worst, int(exc.code or 0))
-        except click.ClickException as exc:
-            click.echo(f"job {i}: {exc.message}", err=True)
-            worst = max(worst, 2)
-    if worst:
-        sys.exit(worst)
+        else:
+            worst = max(worst, _job(**job))
+    _exit(worst)
 
 
 if __name__ == "__main__":

@@ -79,11 +79,11 @@ def p_power_exponent(q: int, p: int) -> int:
     """n such that q = p^n, or raise ParameterError."""
     if q < p:
         raise ParameterError(f"{q} is not a power of {p}")
-    n = 0
-    while q > 1:
-        if q % p:
+    n, rest = 0, q
+    while rest > 1:
+        if rest % p:
             raise ParameterError(f"{q} is not a power of {p}")
-        q //= p
+        rest //= p
         n += 1
     return n
 
@@ -580,14 +580,6 @@ class FieldTower:
         sec = t[:a].T % self.p
         chk = t[a:].T % self.p
         return _Embedding(a, b, mat, sec, chk)
-
-    def _eval_fp_poly(self, fid: FieldId, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Evaluate a polynomial with F_p coefficients at a digit vector."""
-        acc = np.zeros(fid.degree, dtype=np.int64)
-        for c in coeffs[::-1]:
-            acc = self.vmul(fid, acc, x)
-            acc[0] = (acc[0] + int(c)) % self.p
-        return acc
 
     # ---- roots of a defining polynomial in a bigger field ----
 

@@ -9,10 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
-
-
 def matpow_mod(mat: np.ndarray, e: int, p: int) -> np.ndarray:
     """mat**e mod p by binary powering (e >= 0)."""
     n = mat.shape[0]

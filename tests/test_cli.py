@@ -1,5 +1,9 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -13,6 +17,8 @@ from asaitwist.cli import main
 from asaitwist.fields import FieldTower
 from asaitwist.grouplaw import builtin
 from asaitwist.points import conjugacy_classes, enumerate_group
+
+GROWTH_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "centralizer_growth.py"
 
 N2_TEXT = """group n2 dim 2 char 3
 mul[1] = x1 + y1
@@ -322,3 +328,105 @@ def test_dsl_nonassociative_law_rejected_before_use(runner, tmp_path):
     assert "associativity" in res.output
     res = invoke(runner, ["validate", "--dsl", str(bad), "--q", "3"])
     assert res.exit_code == 3
+
+
+def _as_job(command, args):
+    """The `run` job equivalent to the argv `command *args`."""
+    job = {"command": command}
+    for flag, value in zip(args[::2], args[1::2]):
+        job[flag[2:].replace("-", "_")] = int(value) if value.lstrip("-").isdigit() else value
+    return job
+
+
+def _run_jobs(runner, tmp_path, jobs):
+    cfg_path = tmp_path / "batch.json"
+    cfg_path.write_text(json.dumps({"jobs": jobs}))
+    return runner.invoke(main, ["run", "--config", str(cfg_path)], catch_exceptions=False)
+
+
+@pytest.mark.parametrize(
+    "command,args,code",
+    [
+        ("asai", ["--group", "n2", "--q", "3", "--max-order", "0"], 3),
+        ("asai", ["--group", "n2", "--q", "3", "--max-ext", "0"], 3),
+        ("asai", ["--group", "n2", "--q", "3", "--max-ext", "-5"], 3),
+        ("asai", ["--group", "n2", "--q", "3", "--m", "0"], 3),
+        ("easy-check", ["--group", "ul(3)", "--q", "2", "--max-m", "0"], 3),
+        ("asai", ["--dsl", "missing.law", "--q", "3"], 3),
+        ("asai", ["--group", "n2", "--q", "3", "--max-order", "4"], 4),
+    ],
+)
+def test_direct_command_and_one_job_run_exit_alike(runner, tmp_path, command, args, code):
+    args = [str(tmp_path / a) if a.endswith(".law") else a for a in args]
+    assert invoke(runner, [command, *args]).exit_code == code
+    assert _run_jobs(runner, tmp_path, [_as_job(command, args)]).exit_code == code
+
+
+def test_run_batch_continues_past_failed_job(runner, tmp_path):
+    out = tmp_path / "good.json"
+    jobs = [
+        {"command": "asai", "dsl": str(tmp_path / "missing.law"), "q": 3},
+        {"command": "classes", "group": "n2", "q": 3, "out": str(out)},
+    ]
+    res = _run_jobs(runner, tmp_path, jobs)
+    assert res.exit_code == 3
+    assert json.loads(out.read_text())["order"] == 9
+    assert "No such file" in res.output
+    assert f"job 1: {json.dumps(jobs[1], sort_keys=True)}" in res.output
+
+
+def test_run_rejects_option_the_command_does_not_take(runner, tmp_path):
+    out = tmp_path / "ec.json"
+    job = {"command": "easy-check", "group": "n2", "q": 3, "m": 2, "out": str(out)}
+    res = _run_jobs(runner, tmp_path, [job])
+    assert res.exit_code == 3
+    assert "bad config: easy-check has no option m" in res.output
+    assert not out.exists()
+    res = _run_jobs(runner, tmp_path, [{"command": "asai", "group": "n2"}])
+    assert res.exit_code == 3 and "needs option q" in res.output
+    res = _run_jobs(runner, tmp_path, [{"command": "asai", "group": "n2", "q": "3"}])
+    assert res.exit_code == 3 and "q must be an integer" in res.output
+    res = _run_jobs(runner, tmp_path, [{"command": "asai", "group": "n2", "q": 3, "out": 5}])
+    assert res.exit_code == 3 and "out must be a string" in res.output
+
+
+def test_growth_script_cap_exceeded_exit_4(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
+    spec = importlib.util.spec_from_file_location("centralizer_growth", GROWTH_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["centralizer_growth.py", "--group", "n2", "--q", "3", "--levels", "5",
+            "--max-order", "10000"]
+    monkeypatch.setattr("sys.argv", argv)
+    assert script.main() == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cap exceeded:") and err.count("\n") == 1
+
+
+def _rewrite_class_map(path, class_of):
+    """Replace a cached class map, keeping the checksum valid."""
+    doc = json.loads(path.read_text())
+    doc["payload"]["class_of"] = class_of
+    text = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = cache_module._sha(text)
+    path.write_text(json.dumps(doc))
+
+
+def test_cache_rejects_malformed_class_labels(tmp_path):
+    law = builtin("n2", 3)
+    table = conjugacy_classes(enumerate_group(law, FieldTower(3), 3, 1))
+    path = class_table_path(tmp_path, law, 3, 1)
+    save_class_table(path, table)
+    good = [int(c) for c in table.class_of]
+    negative = [-1 if c == good[-1] else c for c in good]
+    swapped = [1 - c if c < 2 else c for c in good]  # classes 0 and 1 out of order
+    gap = [c + 1 if c else c for c in good]
+    for class_of, message in ((negative, "malformed"), (swapped, "malformed"), (gap, "empty class")):
+        _rewrite_class_map(path, class_of)
+        warnings = []
+        assert load_class_table(path, law, FieldTower(3), 3, 1, warn=warnings.append) is None
+        assert any(message in w for w in warnings)
+    _rewrite_class_map(path, good)
+    loaded = load_class_table(path, law, FieldTower(3), 3, 1)
+    assert np.array_equal(loaded.reps, table.reps)
+    assert [m.tolist() for m in loaded.members] == [m.tolist() for m in table.members]
