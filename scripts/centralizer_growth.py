@@ -10,6 +10,9 @@ obstruction to easiness.
 
 Usage:
     python scripts/centralizer_growth.py --group n2 --q 3 --levels 3
+
+Exit codes, as the CLI's: 0 success, 3 bad options (q not a prime power,
+levels < 1, unknown group), 4 cap exceeded.
 """
 
 import argparse
@@ -18,8 +21,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from asaitwist.errors import CapExceeded  # noqa: E402
-from asaitwist.fields import FieldTower  # noqa: E402
+from asaitwist.errors import CapExceeded, ParameterError  # noqa: E402
+from asaitwist.fields import FieldTower, characteristic  # noqa: E402
 from asaitwist.grouplaw import parse_group_name  # noqa: E402
 from asaitwist.points import (  # noqa: E402
     centralizer_counts,
@@ -36,16 +39,12 @@ def main() -> int:
     ap.add_argument("--max-order", type=int, default=2_000_000)
     args = ap.parse_args()
 
-    p = args.q
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            p = d
-            break
-        d += 1
-    law = parse_group_name(args.group, p)
-    tower = FieldTower(p)
     try:
+        if args.levels < 1:
+            raise ParameterError("--levels must be at least 1")
+        p = characteristic(args.q)
+        law = parse_group_name(args.group, p)
+        tower = FieldTower(p)
         view = enumerate_group(law, tower, args.q, 1, max_order=args.max_order)
         table = conjugacy_classes(view)
         print(f"{law.name} over F_{args.q}: {view.order} points, {len(table)} classes")
@@ -62,6 +61,9 @@ def main() -> int:
                 est = "unstable window (no estimate)"
             rep = tuple(c.coeffs for c in g.coords)
             print(f"  class {ci:>3} rep={rep} |class|={table.sizes[ci]:>4}  counts: {counts:<24} {est}")
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except CapExceeded as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return 4

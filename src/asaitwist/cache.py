@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import FieldTower
 from .grouplaw import GroupLaw, canonical_text
-from .points import DEFAULT_MAX_ORDER, ClassTable, enumerate_group
+from .points import DEFAULT_MAX_ORDER, ClassTable, class_members, enumerate_group
 
 SCHEMA_VERSION = 1
 
@@ -109,7 +109,6 @@ def load_class_table(
     if class_of.shape != (view.order,):
         _warn(f"cache {path.name}: malformed class map, ignoring")
         return None
-    # one stable sort groups the ordinals by class, each class ascending;
     # classes are numbered in order of their least member
     labels, reps, counts = np.unique(class_of, return_index=True, return_counts=True)
     if labels[0] < 0 or np.any(np.diff(reps) <= 0):
@@ -118,5 +117,4 @@ def load_class_table(
     if labels[-1] != labels.size - 1:
         _warn(f"cache {path.name}: empty class, ignoring")
         return None
-    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(counts)[:-1])
-    return ClassTable(view, reps, members, class_of)
+    return ClassTable(view, reps, class_members(class_of, counts), class_of)

@@ -23,7 +23,6 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
-from math import isqrt
 from pathlib import Path
 
 import click
@@ -40,7 +39,7 @@ from .errors import (
     InternalInconsistencyError,
     ParameterError,
 )
-from .fields import DEFAULT_DEGREE_CAP, FieldTower, p_power_exponent
+from .fields import DEFAULT_DEGREE_CAP, FieldTower, characteristic
 from .grouplaw import canonical_text, parse_group_dsl, parse_group_name, validate_law
 from .lang import default_degree_cap
 from .points import DEFAULT_MAX_ORDER, Point, conjugacy_classes, enumerate_group
@@ -87,10 +86,7 @@ class RunConfig:
 
 
 def _resolve_law(cfg: RunConfig, check_axioms: bool = False):
-    if cfg.q < 2:
-        raise ParameterError("q must be a prime power >= 2")
-    p = next((d for d in range(2, isqrt(cfg.q) + 1) if cfg.q % d == 0), cfg.q)
-    p_power_exponent(cfg.q, p)
+    p = characteristic(cfg.q)
     if cfg.dsl is not None:
         law = parse_group_dsl(Path(cfg.dsl).read_text(encoding="utf-8"))
     else:
@@ -426,9 +422,16 @@ def run(config):
 
     The config is {"jobs": [{...}]} where each job carries "command"
     (validate | classes | asai | easy-check) plus options of that command.
-    Every job runs; the batch exits with the worst job's code.
+    Every job runs; the batch exits with the worst job's code.  A file
+    that is not such an object is a bad config (exit 3).
     """
-    doc = json.loads(Path(config).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(config).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or not isinstance(doc.get("jobs", []), list):
+            raise ValueError('the top level must be an object whose "jobs" is a list')
+    except (OSError, ValueError) as exc:
+        click.echo(f"error: bad config: {exc}", err=True)
+        sys.exit(3)
     worst = 0
     for i, job in enumerate(doc.get("jobs", [])):
         click.echo(f"job {i}: {json.dumps(job, sort_keys=True)}", err=True)

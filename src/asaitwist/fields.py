@@ -26,6 +26,7 @@ a tower must not be shared between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterator
 
 import numpy as np
@@ -86,6 +87,15 @@ def p_power_exponent(q: int, p: int) -> int:
         rest //= p
         n += 1
     return n
+
+
+def characteristic(q: int) -> int:
+    """The prime p with q = p^n, or raise ParameterError."""
+    if q < 2:
+        raise ParameterError("q must be a prime power >= 2")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    p_power_exponent(q, p)
+    return p
 
 
 @dataclass(frozen=True, order=True)

@@ -14,6 +14,13 @@ conjugate of g is g.  A noncommutative law has dimension d >= 2 (a
 triangular law of dimension 1 is x1 + y1), so its tables have
 (q^m)^2 <= (q^m)^d = |G| entries.  Views and class tables are immutable
 after construction.
+
+Conjugacy classes are the orbits of conjugation by the d*deg axis
+generators t*e_i (t over an F_p-basis of F_{q^m}, deg its size), found
+by min-label propagation with pointer jumping: one conjugation pass per
+generator, not one per class.  The axis points generate G: the points
+with x_{<i} = 0 form a subgroup K_i, coordinate i is additive on K_i,
+and its kernel there is K_{i+1}.
 """
 
 from __future__ import annotations
@@ -174,6 +181,11 @@ def _eval_inv_codes(law: GroupLaw, tab: _CodeTables, x) -> np.ndarray:
     return np.stack([_eval_poly_codes(p, tab, x) for p in law.inv], axis=-1)
 
 
+def _conj_codes(law: GroupLaw, tab: _CodeTables, h_inv, g, h) -> np.ndarray:
+    """Codes of h^{-1} g h, broadcasting over the leading axes."""
+    return _eval_mul_codes(law, tab, h_inv, _eval_mul_codes(law, tab, g, h))
+
+
 class FiniteGroupView:
     """G(F_{q^m}) with canonical element order and vectorized kernels."""
 
@@ -261,13 +273,31 @@ class FiniteGroupView:
         """Combined codes of h^{-1} g h for the ordinals h in [lo, hi)."""
         if self.commutative:
             return np.full(hi - lo, int(self.combine(g_codes)), dtype=np.int64)
-        u = _eval_mul_codes(self.law, self.tables, g_codes[None, :], self.codes[lo:hi])
-        z = _eval_mul_codes(self.law, self.tables, self.inv_codes[lo:hi], u)
-        return self.combine(z)
+        h_inv, h = self.inv_codes[lo:hi], self.codes[lo:hi]
+        return self.combine(_conj_codes(self.law, self.tables, h_inv, g_codes[None, :], h))
 
     def conjugates_combined(self, g_codes: np.ndarray) -> np.ndarray:
         """Combined codes of h^{-1} g h over all h, in ordinal order."""
         return self._conjugates(g_codes, 0, self.order)
+
+    def conjugation_by(self, s_codes: np.ndarray) -> np.ndarray:
+        """Combined codes of s^{-1} g s over all g, in ordinal order.
+
+        Conjugation by s is an automorphism, so this is a permutation of
+        the ordinals.  Noncommutative views only.
+        """
+        s_inv = _eval_inv_codes(self.law, self.tables, s_codes)[None, :]
+        return self.combine(_conj_codes(self.law, self.tables, s_inv, self.codes, s_codes[None, :]))
+
+    def axis_generators(self) -> np.ndarray:
+        """Codes of the d*deg axis points t*e_i, t over the F_p-basis of
+        the level: one row per generator, coordinate i major."""
+        dim, deg = self.law.dim, self.field.degree
+        basis = self.tower.digits_to_codes(self.field, np.eye(deg, dtype=np.int64))
+        gens = np.zeros((dim, deg, dim), dtype=np.int64)
+        for i in range(dim):
+            gens[i, :, i] = basis
+        return gens.reshape(dim * deg, dim)
 
     def find_conjugator(self, g_codes: np.ndarray, target_codes: np.ndarray) -> int | None:
         """Least ordinal h with h^{-1} g h = target, scanning in chunks."""
@@ -321,23 +351,33 @@ class ClassTable:
         return self.view.point(int(self.reps[ci]))
 
 
+def class_members(class_of: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Ordinals of each class, ascending; one stable sort groups them."""
+    return np.split(np.argsort(class_of, kind="stable"), np.cumsum(counts)[:-1])
+
+
 def conjugacy_classes(view: FiniteGroupView) -> ClassTable:
     n = view.order
     if view.commutative:
         reps = np.arange(n, dtype=np.int64)
         members = [np.array([i], dtype=np.int64) for i in range(n)]
         return ClassTable(view, reps, members, reps.copy())
-    class_of = np.full(n, -1, dtype=np.int64)
-    reps: list[int] = []
-    members: list[np.ndarray] = []
-    for seed in range(n):
-        if class_of[seed] >= 0:
-            continue
-        orbit = np.unique(view.conjugates_combined(view.codes[seed]))
-        class_of[orbit] = len(reps)
-        reps.append(seed)
-        members.append(orbit)
-    return ClassTable(view, np.array(reps, dtype=np.int64), members, class_of)
+    perms = [view.conjugation_by(s) for s in view.axis_generators()]
+    # label[g] stays a member of g's class and never grows, so an
+    # unchanged sum means an unchanged array; at the fixpoint each label
+    # is the least member of its class
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        before = int(label.sum())
+        for perm in perms:
+            np.minimum(label, label[perm], out=label)
+            label[perm] = np.minimum(label[perm], label)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        if int(label.sum()) == before:
+            break
+    reps, class_of, counts = np.unique(label, return_inverse=True, return_counts=True)
+    return ClassTable(view, reps, class_members(class_of, counts), class_of)
 
 
 def _commutative_as_polynomials(law: GroupLaw) -> bool:

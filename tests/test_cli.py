@@ -390,17 +390,57 @@ def test_run_rejects_option_the_command_does_not_take(runner, tmp_path):
     assert res.exit_code == 3 and "out must be a string" in res.output
 
 
-def test_growth_script_cap_exceeded_exit_4(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("", "Expecting value"),
+        ("[1]", "top level must be an object"),
+        ('{"jobs": {"command": "asai"}}', '"jobs" is a list'),
+    ],
+)
+def test_run_rejects_malformed_config_file(runner, tmp_path, text, reason):
+    cfg_path = tmp_path / "batch.json"
+    cfg_path.write_text(text)
+    res = runner.invoke(main, ["run", "--config", str(cfg_path)], catch_exceptions=False)
+    assert res.exit_code == 3
+    assert res.output.startswith("error: bad config: ") and reason in res.output
+    assert res.output.count("\n") == 1
+
+
+def _growth_script(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
     spec = importlib.util.spec_from_file_location("centralizer_growth", GROWTH_SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_growth_script_cap_exceeded_exit_4(monkeypatch, capsys):
+    script = _growth_script(monkeypatch)
     argv = ["centralizer_growth.py", "--group", "n2", "--q", "3", "--levels", "5",
             "--max-order", "10000"]
     monkeypatch.setattr("sys.argv", argv)
     assert script.main() == 4
     err = capsys.readouterr().err
     assert err.startswith("error: cap exceeded:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args,reason",
+    [
+        (["--q", "6"], "6 is not a power of 2"),
+        (["--q", "1"], "prime power"),
+        (["--levels", "0"], "--levels must be at least 1"),
+        (["--group", "sl(2)"], "unknown family"),
+    ],
+)
+def test_growth_script_bad_options_exit_3(monkeypatch, capsys, args, reason):
+    script = _growth_script(monkeypatch)
+    monkeypatch.setattr("sys.argv", ["centralizer_growth.py", *args])
+    assert script.main() == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and reason in err and err.count("\n") == 1
 
 
 def _rewrite_class_map(path, class_of):

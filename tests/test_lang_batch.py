@@ -1,9 +1,7 @@
 """Differential tests of the batched Lang solve and norm map.
 
-Random triangular DSL laws are the built-in laws of dimension 2 and 3
-transported along a random triangular coordinate change
-phi(x)_i = x_i + f_i(x_1, ..., x_{i-1}) over F_p: the product is
-phi^{-1}(phi(x) * phi(y)).  The batch is checked against the one-row
+The laws are random triangular DSL laws (`random_laws`) of dimension 2
+to 4 over F_2, F_3 and F_5.  The batch is checked against the one-row
 solve, the scalar witness check and the brute-force solver.
 """
 
@@ -17,15 +15,7 @@ from asaitwist.asai import centralizer_witness, norm_map
 from asaitwist.cli import main
 from asaitwist.errors import CapExceeded
 from asaitwist.fields import FieldTower
-from asaitwist.grouplaw import (
-    GroupLaw,
-    Polynomial,
-    all_tuples,
-    canonical_text,
-    make_law,
-    parse_group_dsl,
-    parse_group_name,
-)
+from asaitwist.grouplaw import Polynomial, all_tuples, canonical_text, parse_group_name
 from asaitwist.lang import (
     lang_solve_batch,
     lang_solve_bruteforce,
@@ -33,56 +23,30 @@ from asaitwist.lang import (
     verify_witness,
 )
 from asaitwist.points import conjugacy_classes, digits_point, enumerate_group
+from random_laws import random_dsl_law, transported_law
 
-BUILTINS = ["n2", "ga_power(2)", "ga_power(3)", "ul(3)"]
 # brute-force witness search stops at groups larger than this
 BRUTE_MAX_ORDER = 1 << 15
-
-
-def _y_renamed(poly: Polynomial, d: int) -> Polynomial:
-    return Polynomial.make(poly.p, poly.nvars, [(c, e[d:] + e[:d]) for c, e in poly.terms])
-
-
-def transported_law(group: str, p: int, shifts) -> GroupLaw:
-    """group over F_p moved along phi(x)_i = x_i + shifts[i](x_{<i})."""
-    base = parse_group_name(group, p)
-    d, nv = base.dim, 2 * base.dim
-    phi = [Polynomial.variable(p, nv, i).add(shifts[i]) for i in range(d)]
-    images = {j: phi[j] for j in range(d)}
-    images.update({d + j: _y_renamed(phi[j], d) for j in range(d)})
-    product = [poly.subs(images) for poly in base.mul]
-    mul = []
-    for i in range(d):
-        # phi^{-1}(w)_i = w_i - f_i(phi^{-1}(w)_{<i})
-        mul.append(product[i].sub(shifts[i].subs({j: mul[j] for j in range(i)})))
-    return make_law("transported", p, d, tuple(mul))
-
-
-@st.composite
-def random_dsl_law(draw):
-    """A transported built-in law, parsed back from its DSL text, with (q, m)."""
-    group = draw(st.sampled_from(BUILTINS))
-    p = draw(st.sampled_from([2, 3]))
-    d = parse_group_name(group, p).dim
-    nv = 2 * d
-    shifts = [Polynomial.zero(p, nv)]
-    for i in range(1, d):
-        raw = []
-        for _ in range(draw(st.integers(0, 2))):
-            exps = [0] * nv
-            for _ in range(draw(st.integers(1, 2))):
-                exps[draw(st.integers(0, i - 1))] += 1
-            raw.append((draw(st.integers(1, p - 1)), tuple(exps)))
-        shifts.append(Polynomial.make(p, nv, raw))
-    law = parse_group_dsl(canonical_text(transported_law(group, p, shifts)))
-    m = draw(st.sampled_from([m for m in (1, 2) if p ** (m * d) <= 81]))
-    return law, p, m
 
 
 @settings(max_examples=25, deadline=None)
 @given(random_dsl_law())
 def test_batch_agrees_with_one_row_solve_and_oracles(case):
-    law, q, m = case
+    _check_batch_against_oracles(*case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.one_of(
+        random_dsl_law(groups=["n2", "ul(3)"], primes=(5,)),
+        random_dsl_law(groups=["ga_power(4)"]),
+    )
+)
+def test_batch_agrees_at_p5_and_in_dimension_4(case):
+    _check_batch_against_oracles(*case)
+
+
+def _check_batch_against_oracles(law, q, m):
     tower = FieldTower(law.p)
     view = enumerate_group(law, tower, q, m)
     ops = view.ops
@@ -131,7 +95,7 @@ def test_batch_raises_cap_exceeded(group, p):
 
 def test_cli_cap_exceeded_from_batch_exits_4(tmp_path):
     shifts = [Polynomial.zero(3, 4), Polynomial.make(3, 4, [(1, (2, 0, 0, 0))])]
-    law = transported_law("n2", 3, shifts)
+    law = transported_law(parse_group_name("n2", 3), shifts)
     dsl = tmp_path / "law.txt"
     dsl.write_text(canonical_text(law))
     res = CliRunner().invoke(

@@ -1,14 +1,61 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from asaitwist.errors import CapExceeded, ParameterError
 from asaitwist.fields import FieldTower
-from asaitwist.grouplaw import builtin
+from asaitwist.grouplaw import all_tuples, builtin, eval_mul, parse_group_name
 from asaitwist.points import (
+    FiniteGroupView,
     centralizer,
     centralizer_counts,
     conjugacy_classes,
     enumerate_group,
 )
+from random_laws import BUILTINS, random_dsl_law
+
+
+def seed_orbit_classes(view):
+    """Oracle: one whole-group conjugation pass per class, seeded at the
+    least ordinal not yet classified."""
+    class_of = np.full(view.order, -1, dtype=np.int64)
+    reps, members = [], []
+    for seed in range(view.order):
+        if class_of[seed] >= 0:
+            continue
+        orbit = np.unique(view.conjugates_combined(view.codes[seed]))
+        class_of[orbit] = len(reps)
+        reps.append(seed)
+        members.append(orbit)
+    return np.array(reps, dtype=np.int64), members, class_of
+
+
+def assert_classes_match_oracle(view):
+    table = conjugacy_classes(view)
+    reps, members, class_of = seed_orbit_classes(view)
+    assert table.reps.tolist() == reps.tolist()
+    assert [m.tolist() for m in table.members] == [m.tolist() for m in members]
+    assert table.class_of.tolist() == class_of.tolist()
+
+
+def axis_closure_size(view) -> int:
+    """Size of the subgroup the axis generators generate, by breadth-first
+    right multiplication from the identity."""
+    law, tower, fid = view.law, view.tower, view.field
+    elems = all_tuples(tower, fid, law.dim)
+    gens = view._codes_to_digits(view.axis_generators())
+    steps = [
+        view.combine(view._digits_to_codes(eval_mul(law, tower, fid, elems, s[None])))
+        for s in gens
+    ]
+    reached = np.zeros(view.order, dtype=bool)
+    reached[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        nxt = np.unique(np.concatenate([step[frontier] for step in steps]))
+        frontier = nxt[~reached[nxt]]
+        reached[frontier] = True
+    return int(reached.sum())
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +282,58 @@ def test_conjugation_kernels_match_scalar_oracle():
             brute = sum(mul[ge][h] == mul[h][ge] for h in range(n))
             growth = centralizer_counts(law, tower, g, p, 1, range(2, 3))
             assert growth.counts == [(2, brute)]
+
+
+@pytest.mark.parametrize(
+    "group,q,m",
+    [
+        ("ul(3)", 2, 3),
+        ("ul(3)", 3, 2),
+        ("ul(4)", 2, 2),
+        ("n2", 3, 2),
+        ("n2", 4, 2),
+        ("n2", 5, 2),
+        ("n2", 9, 1),
+        ("ga_power(2)", 2, 3),
+    ],
+)
+def test_orbit_classes_match_seed_orbit_oracle(group, q, m):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    view = enumerate_group(parse_group_name(group, p), FieldTower(p), q, m)
+    assert_classes_match_oracle(view)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_dsl_law(groups=BUILTINS + ["ga_power(4)"], primes=(2, 3, 5)))
+def test_axis_generators_generate_and_orbits_are_classes(case):
+    law, q, m = case
+    view = enumerate_group(law, FieldTower(law.p), q, m)
+    assert len(view.axis_generators()) == law.dim * view.field.degree
+    assert axis_closure_size(view) == view.order
+    assert_classes_match_oracle(view)
+
+
+def test_class_pass_makes_one_conjugation_pass_per_generator(monkeypatch):
+    """d*deg generator passes per noncommutative level, whatever the class
+    count, and no per-class pass."""
+    calls = {"by": 0, "combined": 0}
+    by, combined = FiniteGroupView.conjugation_by, FiniteGroupView.conjugates_combined
+
+    def counted_by(self, s_codes):
+        calls["by"] += 1
+        return by(self, s_codes)
+
+    def counted_combined(self, g_codes):
+        calls["combined"] += 1
+        return combined(self, g_codes)
+
+    monkeypatch.setattr(FiniteGroupView, "conjugation_by", counted_by)
+    monkeypatch.setattr(FiniteGroupView, "conjugates_combined", counted_combined)
+    tower = FieldTower(2)
+    for group, m, n_classes in (("ul(3)", 1, 5), ("ul(3)", 3, 71), ("ul(4)", 2, 136)):
+        law = parse_group_name(group, 2)
+        view = enumerate_group(law, tower, 2, m)
+        calls["by"] = 0
+        assert len(conjugacy_classes(view)) == n_classes
+        assert calls["by"] == law.dim * m
+    assert calls["combined"] == 0
