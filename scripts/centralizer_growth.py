@@ -12,7 +12,8 @@ Usage:
     python scripts/centralizer_growth.py --group n2 --q 3 --levels 3
 
 Exit codes, as the CLI's: 0 success, 3 bad options (q not a prime power,
-levels < 1, unknown group), 4 cap exceeded.
+levels < 1, unknown group, max-order < 1; the options the CLI shares are
+checked by its RunConfig), 4 cap exceeded.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from asaitwist.cli import RunConfig  # noqa: E402
 from asaitwist.errors import CapExceeded, ParameterError  # noqa: E402
 from asaitwist.fields import FieldTower, characteristic  # noqa: E402
 from asaitwist.grouplaw import parse_group_name  # noqa: E402
@@ -42,6 +44,7 @@ def main() -> int:
     try:
         if args.levels < 1:
             raise ParameterError("--levels must be at least 1")
+        RunConfig("classes", q=args.q, group=args.group, max_order=args.max_order)
         p = characteristic(args.q)
         law = parse_group_name(args.group, p)
         tower = FieldTower(p)

@@ -126,13 +126,31 @@ def _classes_block(table) -> list[dict]:
     ]
 
 
-def _group_block(law) -> dict:
+def _header(law, cfg: RunConfig) -> dict:
+    """The keys every report opens with: versions, the law and the field."""
     return {
-        "name": law.name,
-        "family": law.family,
+        "version": __version__,
+        "schema": SCHEMA_VERSION,
+        "group": {
+            "name": law.name,
+            "family": law.family,
+            "p": law.p,
+            "dim": law.dim,
+            "law": canonical_text(law),
+        },
         "p": law.p,
-        "dim": law.dim,
-        "law": canonical_text(law),
+        "q": cfg.q,
+    }
+
+
+def _level_block(result) -> dict:
+    """One level's classes and norm map, as `asai` and `easy-check` report them."""
+    table = result.table
+    return {
+        "order": table.view.order,
+        "classes": _classes_block(table),
+        "norm_perm": list(result.perm),
+        "fixed": [result.perm[ci] == ci for ci in range(len(table))],
     }
 
 
@@ -167,11 +185,7 @@ def _classes_body(cfg: RunConfig) -> None:
     law, tower = _resolve_law(cfg, check_axioms=True)
     table = _load_or_compute_table(law, tower, cfg)
     report = {
-        "version": __version__,
-        "schema": SCHEMA_VERSION,
-        "group": _group_block(law),
-        "p": law.p,
-        "q": cfg.q,
+        **_header(law, cfg),
         "m": cfg.m,
         "order": table.view.order,
         "classes": _classes_block(table),
@@ -186,19 +200,12 @@ def _asai_body(cfg: RunConfig) -> None:
     table = _load_or_compute_table(law, tower, cfg)
     result = norm_map(table.view, table, max_degree=max_degree)
     witnesses = [centralizer_witness(result, ci) for ci in range(len(table))]
-    fixed = [result.perm[ci] == ci for ci in range(len(table))]
-    class_block = _classes_block(table)
+    level = _level_block(result)
+    sizes = table.sizes
     report = {
-        "version": __version__,
-        "schema": SCHEMA_VERSION,
-        "group": _group_block(law),
-        "p": law.p,
-        "q": cfg.q,
+        **_header(law, cfg),
         "m": cfg.m,
-        "order": table.view.order,
-        "classes": class_block,
-        "norm_perm": list(result.perm),
-        "fixed": fixed,
+        **level,
         "centralizer_witnesses": [
             {"found": False}
             if w is None
@@ -217,8 +224,7 @@ def _asai_body(cfg: RunConfig) -> None:
         # preserves the inner product of delta functions, i.e. whether
         # the permutation preserves class sizes
         "operator_preserves_class_sizes": all(
-            class_block[image]["size"] == c["size"]
-            for image, c in zip(result.perm, class_block)
+            sizes[image] == size for image, size in zip(result.perm, sizes)
         ),
         "caps": {"max_order": cfg.max_order, "max_degree": max_degree},
         "timings": dict(
@@ -228,7 +234,7 @@ def _asai_body(cfg: RunConfig) -> None:
     }
     _emit(report, cfg.out)
     for ci, w in enumerate(witnesses):
-        if (w is not None) != fixed[ci]:
+        if (w is not None) != level["fixed"][ci]:
             raise InternalInconsistencyError(
                 f"class {ci}: fixedness and witness existence disagree"
             )
@@ -240,27 +246,18 @@ def _easy_check_body(cfg: RunConfig) -> None:
     rep = easiness_crosscheck(
         law, tower, cfg.q, max_m=cfg.max_m, max_order=cfg.max_order, max_degree=max_degree
     )
-    levels = []
-    for lc in rep.levels:
-        table = lc.result.table
-        levels.append(
-            {
-                "m": lc.m,
-                "order": table.view.order,
-                "classes": _classes_block(table),
-                "norm_perm": list(lc.result.perm),
-                "fixed": lc.fixed,
-                "witness_found": [w is not None for w in lc.witnesses],
-                "agree": lc.agree,
-            }
-        )
+    levels = [
+        {
+            "m": lc.m,
+            **_level_block(lc.result),
+            "witness_found": [w is not None for w in lc.witnesses],
+            "agree": lc.agree,
+        }
+        for lc in rep.levels
+    ]
     verdict = rep.verdict
     report = {
-        "version": __version__,
-        "schema": SCHEMA_VERSION,
-        "group": _group_block(law),
-        "p": law.p,
-        "q": cfg.q,
+        **_header(law, cfg),
         "max_m": cfg.max_m,
         "levels": levels,
         "internally_consistent": rep.internally_consistent,
@@ -423,17 +420,18 @@ def run(config):
     The config is {"jobs": [{...}]} where each job carries "command"
     (validate | classes | asai | easy-check) plus options of that command.
     Every job runs; the batch exits with the worst job's code.  A file
-    that is not such an object is a bad config (exit 3).
+    that is not such an object, "jobs" key included, is a bad config
+    (exit 3).
     """
     try:
         doc = json.loads(Path(config).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict) or not isinstance(doc.get("jobs", []), list):
+        if not isinstance(doc, dict) or not isinstance(doc.get("jobs"), list):
             raise ValueError('the top level must be an object whose "jobs" is a list')
     except (OSError, ValueError) as exc:
         click.echo(f"error: bad config: {exc}", err=True)
         sys.exit(3)
     worst = 0
-    for i, job in enumerate(doc.get("jobs", [])):
+    for i, job in enumerate(doc["jobs"]):
         click.echo(f"job {i}: {json.dumps(job, sort_keys=True)}", err=True)
         problem = _bad_job(job)
         if problem:

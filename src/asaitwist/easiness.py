@@ -7,20 +7,18 @@ m > 0 exactly when the group is easy.  One nontrivial permutation at any
 m therefore certifies non-easiness; all-trivial up to a bound M is only
 evidence ("easy up to M"), never proof, because the quantifier runs over
 every m.
+
+Both entry points take levels from one loop, which ends at the first cap
+hit, and classify them with one rule, `_verdict`.  The scan is that loop
+stopped at its first certificate; the crosscheck takes every level.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .asai import (
-    CentralizerWitness,
-    NormMapResult,
-    centralizer_witness,
-    is_asai_trivial,
-    moved_classes,
-    norm_map,
-)
+from .asai import CentralizerWitness, NormMapResult, centralizer_witness, norm_map
 from .errors import CapExceeded, InternalInconsistencyError
 from .grouplaw import GroupLaw
 from .fields import FieldTower
@@ -154,27 +152,12 @@ def easiness_scan(
     Stops at the first nontrivial operator: that is already a certificate
     of non-easiness, with the first moved class as witness.
     """
-    evidence: list[tuple[int, bool]] = []
-    for m in range(1, max_m + 1):
-        try:
-            view = enumerate_group(law, tower, q, m, max_order=max_order)
-            table = conjugacy_classes(view)
-            result = norm_map(view, table, max_degree=max_degree)
-        except CapExceeded:
-            return EasinessVerdict(
-                kind="inconclusive", up_to_m=m - 1, evidence=evidence
-            )
-        trivial = is_asai_trivial(result)
-        evidence.append((m, trivial))
-        if not trivial:
-            ci = moved_classes(result)[0]
-            return EasinessVerdict(
-                kind=NOT_EASY,
-                witness=table.rep_point(ci),
-                witness_m=m,
-                evidence=evidence,
-            )
-    return EasinessVerdict(kind="easy_up_to", up_to_m=max_m, evidence=evidence)
+    levels: list[LevelCheck] = []
+    for lc in _level_checks(law, tower, q, max_m, max_order, max_degree):
+        levels.append(lc)
+        if not all(lc.fixed):
+            break
+    return _verdict(levels, max_m)
 
 
 def check_level(
@@ -205,6 +188,36 @@ def check_level(
     return LevelCheck(m, result, fixed, witnesses, agree)
 
 
+def _level_checks(law, tower, q, max_m, max_order, max_degree) -> Iterator[LevelCheck]:
+    """Check levels m = 1, 2, ..., max_m in turn; stop at the first cap hit."""
+    for m in range(1, max_m + 1):
+        try:
+            lc = check_level(law, tower, q, m, max_order=max_order, max_degree=max_degree)
+        except CapExceeded:
+            return
+        yield lc
+
+
+def _verdict(levels: list[LevelCheck], max_m: int) -> EasinessVerdict:
+    """Classify the completed levels of the window m = 1..max_m.
+
+    A nontrivial operator certifies non-easiness even if a cap cut the
+    window short; fewer than max_m all-trivial levels is inconclusive.
+    """
+    evidence = [(lc.m, all(lc.fixed)) for lc in levels]
+    for lc in levels:
+        if not all(lc.fixed):
+            return EasinessVerdict(
+                kind=NOT_EASY,
+                witness=lc.result.table.rep_point(lc.fixed.index(False)),
+                witness_m=lc.m,
+                evidence=evidence,
+            )
+    if len(levels) < max_m:
+        return EasinessVerdict(kind="inconclusive", up_to_m=len(levels), evidence=evidence)
+    return EasinessVerdict(kind="easy_up_to", up_to_m=max_m, evidence=evidence)
+
+
 def easiness_crosscheck(
     law: GroupLaw,
     tower: FieldTower,
@@ -214,34 +227,12 @@ def easiness_crosscheck(
     max_degree: int | None = None,
 ) -> ConsistencyReport:
     """Full matrix over m <= max_m: fixedness, witnesses, agreement, label."""
-    levels: list[LevelCheck] = []
-    evidence: list[tuple[int, bool]] = []
-    verdict: EasinessVerdict | None = None
-    for m in range(1, max_m + 1):
-        try:
-            lc = check_level(law, tower, q, m, max_order=max_order, max_degree=max_degree)
-        except CapExceeded:
-            # a non-easiness certificate from an earlier level stands
-            if verdict is None:
-                verdict = EasinessVerdict(kind="inconclusive", up_to_m=m - 1)
-            break
-        levels.append(lc)
-        trivial = all(lc.fixed)
-        evidence.append((m, trivial))
-        if not trivial and verdict is None:
-            ci = [c for c, f in enumerate(lc.fixed) if not f][0]
-            verdict = EasinessVerdict(
-                kind=NOT_EASY,
-                witness=lc.result.table.rep_point(ci),
-                witness_m=m,
-            )
-    if verdict is None:
-        verdict = EasinessVerdict(kind="easy_up_to", up_to_m=max_m)
-    verdict.evidence = evidence
+    levels = list(_level_checks(law, tower, q, max_m, max_order, max_degree))
+    verdict = _verdict(levels, max_m)
 
     internally_consistent = all(lc.consistent for lc in levels)
     label = family_oracle(law)
-    any_nontrivial = any(not t for _, t in evidence)
+    any_nontrivial = verdict.kind == NOT_EASY
     if label.label == EASY:
         label_status = "CONTRADICTION" if any_nontrivial else "confirmed"
     elif label.label == NOT_EASY:

@@ -396,6 +396,7 @@ def test_run_rejects_option_the_command_does_not_take(runner, tmp_path):
         ("", "Expecting value"),
         ("[1]", "top level must be an object"),
         ('{"jobs": {"command": "asai"}}', '"jobs" is a list'),
+        ('{"job": [{"command": "asai", "group": "n2", "q": 3}]}', '"jobs" is a list'),
     ],
 )
 def test_run_rejects_malformed_config_file(runner, tmp_path, text, reason):
@@ -432,6 +433,8 @@ def test_growth_script_cap_exceeded_exit_4(monkeypatch, capsys):
         (["--q", "1"], "prime power"),
         (["--levels", "0"], "--levels must be at least 1"),
         (["--group", "sl(2)"], "unknown family"),
+        (["--max-order", "0"], "max_order, max_ext and sample_budget must be positive"),
+        (["--max-order", "-3"], "max_order, max_ext and sample_budget must be positive"),
     ],
 )
 def test_growth_script_bad_options_exit_3(monkeypatch, capsys, args, reason):

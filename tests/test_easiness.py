@@ -1,3 +1,7 @@
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from asaitwist.easiness import (
     EASY,
     NOT_EASY,
@@ -7,7 +11,9 @@ from asaitwist.easiness import (
     family_oracle,
 )
 from asaitwist.fields import FieldTower
-from asaitwist.grouplaw import builtin, parse_group_dsl
+from asaitwist.grouplaw import builtin, parse_group_dsl, parse_group_name
+
+from random_laws import random_dsl_law
 
 
 def test_family_oracle_labels():
@@ -111,3 +117,46 @@ def test_n2_p2_exploratory_run():
     assert rep.internally_consistent
     assert rep.family_label.label == UNKNOWN
     assert rep.label_status == "n/a"
+
+
+def _assert_scan_agrees_with_crosscheck(law, q, max_m, max_order):
+    """The scan's verdict is the crosscheck's, its evidence cut after the
+    first nontrivial level."""
+    scan = easiness_scan(law, FieldTower(law.p), q, max_m=max_m, max_order=max_order)
+    full = easiness_crosscheck(
+        law, FieldTower(law.p), q, max_m=max_m, max_order=max_order
+    ).verdict
+    for attr in ("kind", "witness", "witness_m", "up_to_m"):
+        assert getattr(scan, attr) == getattr(full, attr), attr
+    trivial = [t for _, t in full.evidence]
+    cut = trivial.index(False) + 1 if False in trivial else len(trivial)
+    assert scan.evidence == full.evidence[:cut]
+
+
+@pytest.mark.parametrize(
+    "group,q,max_m,max_order",
+    [
+        ("n2", 3, 3, 10**6),  # certificate at m = 1, then more levels
+        ("n2", 3, 3, 81),  # certificate, then a cap hit
+        ("n2", 3, 2, 5),  # cap hit before any level
+        ("n2", 2, 3, 10**6),
+        ("n2", 5, 2, 10**6),
+        ("ul(3)", 2, 3, 10**6),  # easy_up_to
+        ("ul(3)", 2, 3, 64),  # all-trivial levels, then a cap hit
+        ("ga_power(2)", 2, 4, 10**6),
+        ("ga_power(3)", 3, 2, 10**6),
+    ],
+)
+def test_scan_agrees_with_crosscheck_on_builtins(group, q, max_m, max_order):
+    _assert_scan_agrees_with_crosscheck(parse_group_name(group, q), q, max_m, max_order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    random_dsl_law(primes=(2, 3)),
+    st.integers(1, 3),
+    st.sampled_from([5, 30, 125]),  # small caps end some windows early
+)
+def test_scan_agrees_with_crosscheck_on_random_laws(drawn, max_m, max_order):
+    law, p, _ = drawn
+    _assert_scan_agrees_with_crosscheck(law, p, max_m, max_order)

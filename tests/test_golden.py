@@ -29,6 +29,22 @@ GOLDEN = [
         ["easy-check", "--group", "n2", "--q", "3", "--max-m", "2"],
         "0636f6f6103fad18932ed9e7c224f9146e5ff714def6a859163e22009d2472c6",
     ),
+    (
+        ["classes", "--group", "ul(3)", "--q", "3", "--m", "1"],
+        "319b521e982cdeb1c6aa9531405c27327691c349ea680a91ab5b93d9c4aa786c",
+    ),
+    (  # easy_up_to
+        ["easy-check", "--group", "ul(3)", "--q", "2", "--max-m", "2"],
+        "a1a037e3ae3e60bdb5f608c7922ed57ddb8c21cc546f2d13403dd0a51fc7f0be",
+    ),
+    (  # a cap hit after a non-easiness certificate
+        ["easy-check", "--group", "n2", "--q", "3", "--max-m", "3", "--max-order", "81"],
+        "4941557117f72849d913e918a9a1997b640d11b80ebe8b53b694210fcecf33be",
+    ),
+    (  # inconclusive: a cap hit before any level
+        ["easy-check", "--group", "n2", "--q", "3", "--max-m", "2", "--max-order", "5"],
+        "2f7630869f655b1b0b4761d8feaa62f2819960e681b33087af4127373d5be503",
+    ),
 ]
 
 
