@@ -51,6 +51,7 @@ def main() -> int:
         view = enumerate_group(law, tower, args.q, 1, max_order=args.max_order)
         table = conjugacy_classes(view)
         print(f"{law.name} over F_{args.q}: {view.order} points, {len(table)} classes")
+        sizes = table.sizes
         for ci in range(len(table)):
             g = table.rep_point(ci)
             growth = centralizer_counts(
@@ -63,7 +64,7 @@ def main() -> int:
             else:
                 est = "unstable window (no estimate)"
             rep = tuple(c.coeffs for c in g.coords)
-            print(f"  class {ci:>3} rep={rep} |class|={table.sizes[ci]:>4}  counts: {counts:<24} {est}")
+            print(f"  class {ci:>3} rep={rep} |class|={sizes[ci]:>4}  counts: {counts:<24} {est}")
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

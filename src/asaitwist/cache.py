@@ -90,6 +90,8 @@ def load_class_table(
     except (OSError, json.JSONDecodeError):
         _warn(f"cache {path.name}: unreadable, ignoring")
         return None
+    if not isinstance(doc, dict):
+        doc = {}  # not a class table: reported as a stale schema below
     if doc.get("kind") != "class_table" or doc.get("schema") != SCHEMA_VERSION:
         _warn(f"cache {path.name}: stale schema, ignoring")
         return None
@@ -101,14 +103,22 @@ def load_class_table(
     if _sha(payload_text) != doc.get("checksum"):
         _warn(f"cache {path.name}: checksum mismatch, ignoring")
         return None
+    if not isinstance(payload, dict):
+        _warn(f"cache {path.name}: malformed payload, ignoring")
+        return None
     view = enumerate_group(law, tower, q, m, max_order=max_order)
     if payload.get("order") != view.order:
         _warn(f"cache {path.name}: order mismatch, ignoring")
         return None
-    class_of = np.array(payload["class_of"], dtype=np.int64)
-    if class_of.shape != (view.order,):
+    try:
+        class_of = np.array(payload.get("class_of"))
+    except ValueError:
+        class_of = np.array(None)  # ragged lists
+    # a missing map or any non-integer label gives another dtype kind
+    if class_of.dtype.kind != "i" or class_of.shape != (view.order,):
         _warn(f"cache {path.name}: malformed class map, ignoring")
         return None
+    class_of = class_of.astype(np.int64, copy=False)
     # classes are numbered in order of their least member
     labels, reps, counts = np.unique(class_of, return_index=True, return_counts=True)
     if labels[0] < 0 or np.any(np.diff(reps) <= 0):

@@ -6,7 +6,10 @@ choices are deterministic:
 
 * the defining polynomial of degree k is the monic irreducible whose
   coefficient vector (c_0, ..., c_{k-1}) minimises the integer code
-  sum(c_i * p^i);
+  sum(c_i * p^i); irreducibility is Rabin's test, its gcds taken by the
+  level polynomial helpers (over F_p) that trace splitting also uses;
+* each modulus f has one companion matrix x -> t*x mod f: its k-th power
+  gives the reduction rows, its p-th power the Frobenius matrix;
 * an embedding F_{p^a} -> F_{p^b} sends the degree-a generator to the
   least root (same code order) of the degree-a defining polynomial that
   is compatible with every embedding already present in the tower, so
@@ -138,32 +141,6 @@ class FieldElement:
         return f"F({self.field.p}^{self.field.degree})[{','.join(map(str, self.coeffs))}]"
 
 
-# -- polynomial helpers over F_p (1-D int64 coefficient arrays, c[i] ~ t^i) --
-
-
-def _fp_trim(u: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(u)[0]
-    return u[: int(nz[-1]) + 1] if nz.size else u[:1] * 0
-
-
-def _fp_mod(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    u = u.copy() % p
-    dv = len(v) - 1
-    inv_lead = pow(int(v[-1]), -1, p)
-    for j in range(len(u) - 1, dv - 1, -1):
-        c = (u[j] * inv_lead) % p
-        if c:
-            u[j - dv : j + 1] = (u[j - dv : j + 1] - c * v) % p
-    return _fp_trim(u[:dv] if dv else u[:1] * 0)
-
-
-def _fp_gcd(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    u, v = _fp_trim(u % p), _fp_trim(v % p)
-    while np.any(v):
-        u, v = v, _fp_mod(u, v, p)
-    return u
-
-
 class _Level:
     """Per-degree data: modulus, reduction matrix, lazily filled Frobenius powers."""
 
@@ -174,7 +151,7 @@ class _Level:
         self.red = _reduction_matrix(modulus, p)  # (degree-1, degree)
         # frob[e] is the matrix of x -> x^{p^e}: digit row vectors act on the right
         self._frob: dict[int, np.ndarray] = {0: np.eye(degree, dtype=np.int64)}
-        self._frob[1] = _frobenius_matrix(modulus, self.red, p)
+        self._frob[1] = _frobenius_matrix(modulus, p)
         # Artin-Schreier factorizations keyed by the exponent E with Q = p^E
         self.as_cache: dict[int, tuple] = {}
 
@@ -185,59 +162,28 @@ class _Level:
         return self._frob[e]
 
 
+def _mul_by_t(modulus: np.ndarray, p: int) -> np.ndarray:
+    """Companion matrix of x -> t*x mod modulus: row j = digits of t^{j+1}."""
+    k = len(modulus) - 1
+    mat = np.eye(k, k, 1, dtype=np.int64)
+    mat[k - 1] = (-modulus[:k]) % p
+    return mat
+
+
 def _reduction_matrix(modulus: np.ndarray, p: int) -> np.ndarray:
     """Rows j = digit vector of t^{k+j} mod modulus, for j < k-1."""
     k = len(modulus) - 1
-    red = np.zeros((max(k - 1, 0), k), dtype=np.int64)
-    if k <= 1:
-        return red
-    cur = (-modulus[:k]) % p
-    red[0] = cur
-    for j in range(1, k - 1):
-        top = cur[k - 1]
-        cur = np.concatenate([[0], cur[: k - 1]])
-        cur = (cur + top * red[0]) % p
-        red[j] = cur
-    return red
+    return matpow_mod(_mul_by_t(modulus, p), k, p)[: k - 1]
 
 
-def _mulmod_fp(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
-    k = len(a)
-    conv = np.convolve(a, b)
-    if k == 1:
-        return conv % p
-    return (conv[:k] + conv[k:] @ red) % p
-
-
-def _frobenius_matrix(modulus: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+def _frobenius_matrix(modulus: np.ndarray, p: int) -> np.ndarray:
     """Matrix with row i = digits of (t^i)^p mod modulus."""
     k = len(modulus) - 1
+    tp = matpow_mod(_mul_by_t(modulus, p), p, p)  # x -> t^p * x
     mat = np.zeros((k, k), dtype=np.int64)
     mat[0, 0] = 1
-    if k == 1:
-        return mat
-    # t^p mod f by binary powering
-    tp = np.zeros(k, dtype=np.int64)
-    if p < k:
-        tp[p] = 1
-    else:
-        t = np.zeros(k, dtype=np.int64)
-        t[1] = 1
-        acc = np.zeros(k, dtype=np.int64)
-        acc[0] = 1
-        e = p
-        base = t
-        while e:
-            if e & 1:
-                acc = _mulmod_fp(acc, base, red, p)
-            base = _mulmod_fp(base, base, red, p)
-            e >>= 1
-        tp = acc
-    row = np.zeros(k, dtype=np.int64)
-    row[0] = 1
     for i in range(1, k):
-        row = _mulmod_fp(row, tp, red, p)
-        mat[i] = row
+        mat[i] = (mat[i - 1] @ tp) % p
     return mat
 
 
@@ -311,18 +257,19 @@ class FieldTower:
         raise InternalInconsistencyError(f"no irreducible of degree {k} found")
 
     def _is_irreducible(self, coeffs: np.ndarray) -> bool:
+        """Rabin's test: t^{p^k} = t mod f and gcd(t^{p^{k/l}} - t, f) = 1 for primes l | k."""
         p = self.p
         k = len(coeffs) - 1
-        red = _reduction_matrix(coeffs, p)
-        frob = _frobenius_matrix(coeffs, red, p)
+        frob = _frobenius_matrix(coeffs, p)
         if not np.array_equal(matpow_mod(frob, k, p), np.eye(k, dtype=np.int64)):
             return False  # t^{p^k} != t mod f
         t_vec = np.zeros(k, dtype=np.int64)
         t_vec[1] = 1
+        prime_field = FieldId(p, 1)
         for ell in prime_divisors(k):
             u = matpow_mod(frob, k // ell, p)[1]  # t^{p^{k/ell}} mod f
-            g = _fp_gcd((u - t_vec) % p, coeffs, p)
-            if len(_fp_trim(g)) != 1:
+            g = self._pp_gcd(prime_field, ((u - t_vec) % p)[:, None], coeffs[:, None])
+            if g.shape[0] != 1:
                 return False
         return True
 
@@ -564,15 +511,8 @@ class FieldTower:
         for _ in range(a):
             conj.append(r)
             r = self.vfrob(fid_b, r, 1)
-        keys = [self._scalar_code(v) for v in conj]
-        order = sorted(range(a), key=keys.__getitem__)
-        return [conj[i] for i in order]
-
-    def _scalar_code(self, digits: np.ndarray) -> int:
-        c = 0
-        for d in reversed([int(v) for v in digits]):
-            c = c * self.p + d
-        return c
+        # lexicographic order on the reversed digits is code order
+        return sorted(conj, key=lambda v: tuple(v[::-1]))
 
     def _powers_matrix(self, fid: FieldId, r: np.ndarray, a: int) -> np.ndarray:
         mat = np.zeros((a, fid.degree), dtype=np.int64)

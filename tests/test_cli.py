@@ -446,13 +446,19 @@ def test_growth_script_bad_options_exit_3(monkeypatch, capsys, args, reason):
     assert err.startswith("error: ") and reason in err and err.count("\n") == 1
 
 
-def _rewrite_class_map(path, class_of):
-    """Replace a cached class map, keeping the checksum valid."""
+def _rewrite_payload(path, payload):
+    """Replace a cached payload, keeping the checksum valid."""
     doc = json.loads(path.read_text())
-    doc["payload"]["class_of"] = class_of
-    text = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["payload"] = payload
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     doc["checksum"] = cache_module._sha(text)
     path.write_text(json.dumps(doc))
+
+
+def _rewrite_class_map(path, class_of):
+    """Replace a cached class map, keeping the checksum valid."""
+    payload = json.loads(path.read_text())["payload"]
+    _rewrite_payload(path, dict(payload, class_of=class_of))
 
 
 def test_cache_rejects_malformed_class_labels(tmp_path):
@@ -473,3 +479,33 @@ def test_cache_rejects_malformed_class_labels(tmp_path):
     loaded = load_class_table(path, law, FieldTower(3), 3, 1)
     assert np.array_equal(loaded.reps, table.reps)
     assert [m.tolist() for m in loaded.members] == [m.tolist() for m in table.members]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda path: path.write_text("[1, 2]"), "stale schema"),
+        (lambda path: _rewrite_payload(path, {"order": 9}), "malformed class map"),
+        (lambda path: _rewrite_class_map(path, ["a"] * 9), "malformed class map"),
+        (lambda path: _rewrite_class_map(path, [[0], [1, 2]] + [[3]] * 7), "malformed class map"),
+        (lambda path: _rewrite_class_map(path, [0.0] * 9), "malformed class map"),
+        (lambda path: _rewrite_payload(path, [1, 2]), "malformed payload"),
+    ],
+    ids=["top_list", "no_class_of", "letter_labels", "ragged", "float_labels", "payload_list"],
+)
+def test_cache_ignores_malformed_documents(runner, tmp_path, corrupt, message):
+    cache, args = tmp_path / "cache", ["classes", "--group", "n2", "--q", "3"]
+    fresh = tmp_path / "fresh.json"
+    assert invoke(runner, [*args, "--out", str(fresh)]).exit_code == 0
+    assert invoke(runner, [*args, "--cache", str(cache)]).exit_code == 0
+    [path] = cache.iterdir()
+    corrupt(path)
+    warnings = []
+    law = builtin("n2", 3)
+    assert load_class_table(path, law, FieldTower(3), 3, 1, warn=warnings.append) is None
+    assert warnings == [f"cache {path.name}: {message}, ignoring"]
+    out = tmp_path / "warm.json"
+    res = invoke(runner, [*args, "--cache", str(cache), "--out", str(out)])
+    assert res.exit_code == 0
+    assert res.stderr.count("ignoring") == 1 and f"{message}, ignoring" in res.stderr
+    assert out.read_bytes() == fresh.read_bytes()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asaitwist.errors import CapExceeded, IncompatibleFields, ParameterError
-from asaitwist.fields import FieldId, FieldTower
+from asaitwist.fields import _BRUTE_ROOT_BOUND, FieldId, FieldTower
 
 
 def op_tables(tower, fid):
@@ -75,6 +75,77 @@ def test_deterministic_moduli():
     assert t3.modulus(t3.make_field(3)) == (1, 2, 0, 1)     # t^3+2t+1
     # idempotent
     assert t3.make_field(2) == t3.make_field(2) == FieldId(3, 2)
+
+
+def _poly_mod(u, f, p):
+    """u mod f over F_p by long division; coefficient lists, c[i] ~ t^i, f monic."""
+    u = list(u)
+    d = len(f) - 1
+    for j in range(len(u) - 1, d - 1, -1):
+        c = u[j]
+        for i in range(d + 1):
+            u[j - d + i] = (u[j - d + i] - c * f[i]) % p
+    return (u + [0] * d)[:d]
+
+
+def _monic(p, degree):
+    """Every monic polynomial of the given degree over F_p, in code order."""
+    for code in range(p**degree):
+        yield [code // p**i % p for i in range(degree)] + [1]
+
+
+# every field with at most 2401 elements, characteristics up to 7
+MODULUS_GRID = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 12) if p**k <= 2401]
+
+
+@pytest.mark.parametrize("p,k", MODULUS_GRID)
+def test_moduli_and_frobenius_match_long_division_oracle(p, k):
+    """The modulus is the first monic polynomial in code order with no monic
+    factor of degree 1..k//2, and row i of the Frobenius matrix is
+    t^{i*p} mod f, both by plain long division."""
+    least = next(
+        f for f in _monic(p, k)
+        if all(any(_poly_mod(f, g, p)) for d in range(1, k // 2 + 1) for g in _monic(p, d))
+    )
+    tower = FieldTower(p)
+    fid = tower.make_field(k)
+    assert tower.modulus(fid) == tuple(least)
+    frob = tower.vfrob(fid, np.eye(k, dtype=np.int64), 1)
+    for i in range(k):
+        assert frob[i].tolist() == _poly_mod([0] * (i * p) + [1], least, p)
+
+
+@pytest.mark.parametrize(
+    "p,a,b,brute,divides",
+    [
+        (2, 3, 6, True, False),
+        (3, 2, 6, True, False),
+        (2, 7, 14, False, False),
+        (3, 3, 9, False, False),
+        (5, 2, 6, False, False),
+        (2, 5, 15, False, True),  # keeps a cofactor by exact division
+    ],
+)
+def test_root_candidates_are_all_roots_in_code_order(p, a, b, brute, divides, monkeypatch):
+    """Both root-finding paths (brute force up to _BRUTE_ROOT_BOUND elements,
+    trace splitting above) give every root of the degree-a modulus in
+    F_{p^b}, sorted by code."""
+    tower = FieldTower(p)
+    fa, fb = tower.make_field(a), tower.make_field(b)
+    xs = tower.codes_to_digits(fb, np.arange(fb.order, dtype=np.int64))
+    acc = np.zeros_like(xs)
+    for c in reversed(tower.modulus(fa)):
+        acc = tower.vmul(fb, acc, xs)
+        acc[:, 0] = (acc[:, 0] + c) % p
+    roots = np.nonzero(~acc.any(axis=1))[0].tolist()
+    assert len(roots) == a
+    divisions = []
+    divexact = tower._pp_divexact
+    monkeypatch.setattr(tower, "_pp_divexact", lambda *args: divisions.append(1) or divexact(*args))
+    cands = tower._root_candidates(a, b)
+    assert [int(tower.digits_to_codes(fb, r)) for r in cands] == roots
+    assert (fb.order <= _BRUTE_ROOT_BOUND) == brute
+    assert bool(divisions) == divides
 
 
 def test_make_field_examples():
