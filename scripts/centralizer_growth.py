@@ -52,12 +52,12 @@ def main() -> int:
         table = conjugacy_classes(view)
         print(f"{law.name} over F_{args.q}: {view.order} points, {len(table)} classes")
         sizes = table.sizes
-        for ci in range(len(table)):
-            g = table.rep_point(ci)
-            growth = centralizer_counts(
-                law, tower, g, args.q, 1, range(1, args.levels + 1),
-                max_order=args.max_order,
-            )
+        reps = [table.rep_point(ci) for ci in range(len(table))]
+        growths = centralizer_counts(
+            law, tower, reps, args.q, 1, range(1, args.levels + 1),
+            max_order=args.max_order,
+        )
+        for ci, (g, growth) in enumerate(zip(reps, growths)):
             counts = " ".join(f"{c}" for _, c in growth.counts)
             if growth.stable:
                 est = f"dim={growth.dimension} components={growth.components}"

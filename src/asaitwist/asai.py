@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError, ParameterError
 from .fields import FieldId, p_power_exponent
-from .grouplaw import eval_inv, eval_mul, point_frobenius
+from .grouplaw import eval_inv, eval_mul
 
 # lang_solve_triangular is the one-point form of lang_solve_batch; it stays
 # bound here because perfbench/tracer.py wraps it at this import site
@@ -103,7 +103,7 @@ def norm_map(
             classes = chunk[rows]
             mul = partial(eval_mul, law, tower, lvl)
             inv = partial(eval_inv, law, tower, lvl)
-            frob = partial(point_frobenius, tower, lvl, e=e)
+            frob = partial(tower.vfrob, lvl, e=e)
             ge = tower.vembed(base, lvl, g[rows])
             img = mul(inv(frob(x)), x)
             if not np.array_equal(mul(mul(inv(x), ge), x), img):

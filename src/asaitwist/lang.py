@@ -31,7 +31,7 @@ from .errors import (
     ParameterError,
 )
 from .fields import FieldId, FieldTower, p_power_exponent
-from .grouplaw import GroupLaw, all_tuples, eval_inv, eval_mul, point_frobenius
+from .grouplaw import GroupLaw, all_tuples, eval_inv, eval_mul
 from .points import DEFAULT_MAX_ORDER, LawOps, Point, digits_point, point_digits
 
 _BRUTE_CHUNK = 1 << 15
@@ -87,7 +87,7 @@ def lang_solve_batch(
         solved: dict[int, list] = {}
         for degree, (rows, xt) in levels.items():
             cur = FieldId(law.p, degree)
-            fx = point_frobenius(tower, cur, xt, base.degree)
+            fx = tower.vfrob(cur, xt, base.degree)
             z = eval_mul(law, tower, cur, xt, eval_inv(law, tower, cur, fx))
             c = (z[:, i] - tower.vembed(base, cur, g[rows, i])) % law.p
             for fid, sel, t in tower.vartin_schreier_solve(
@@ -107,7 +107,7 @@ def lang_solve_batch(
     groups = []
     for degree, (rows, x) in levels.items():
         fid = FieldId(law.p, degree)
-        fx = point_frobenius(tower, fid, x, base.degree)
+        fx = tower.vfrob(fid, x, base.degree)
         lang = eval_mul(law, tower, fid, x, eval_inv(law, tower, fid, fx))
         if not np.array_equal(lang, tower.vembed(base, fid, g[rows])):
             raise InternalInconsistencyError("triangular Lang witness failed to verify")
@@ -159,7 +159,7 @@ def lang_solve_bruteforce(
         for start in range(0, order, _BRUTE_CHUNK):
             codes = np.arange(start, min(start + _BRUTE_CHUNK, order), dtype=np.int64)
             xs = all_tuples(tower, fid, law.dim, codes)
-            fx = point_frobenius(tower, fid, xs, base)
+            fx = tower.vfrob(fid, xs, base)
             lang = eval_mul(law, tower, fid, xs, eval_inv(law, tower, fid, fx))
             mask = np.all(lang == gd[None], axis=(-2, -1))
             hits = np.nonzero(mask)[0]
@@ -176,7 +176,7 @@ def verify_witness(law: GroupLaw, tower: FieldTower, w: LangWitness) -> bool:
         n = p_power_exponent(w.q, law.p)
         xd = point_digits(w.x)
         fid = w.x.field
-        fx = point_frobenius(tower, fid, xd, n * w.m)
+        fx = tower.vfrob(fid, xd, n * w.m)
         lang = eval_mul(law, tower, fid, xd, eval_inv(law, tower, fid, fx))
         ge = point_digits(ops.embed(w.g, fid))
         return bool(np.array_equal(lang, ge))

@@ -31,13 +31,7 @@ import numpy as np
 
 from .errors import CapExceeded, ParameterError
 from .fields import FieldElement, FieldId, FieldTower, p_power_exponent
-from .grouplaw import (
-    GroupLaw,
-    Polynomial,
-    eval_inv,
-    eval_mul,
-    point_frobenius,
-)
+from .grouplaw import GroupLaw, Polynomial, eval_inv, eval_mul
 
 DEFAULT_MAX_ORDER = 2_000_000
 _CHUNK = 1 << 16
@@ -101,7 +95,7 @@ class LawOps:
 
     def frobenius(self, a: Point, q: int, times: int = 1) -> Point:
         n = p_power_exponent(q, self.tower.p)
-        dig = point_frobenius(self.tower, a.field, point_digits(a), n * times)
+        dig = self.tower.vfrob(a.field, point_digits(a), n * times)
         return digits_point(a.field, dig)
 
     def embed(self, a: Point, target: FieldId) -> Point:
@@ -421,19 +415,19 @@ class CentralizerGrowth:
 def centralizer_counts(
     law: GroupLaw,
     tower: FieldTower,
-    g: Point,
+    points: list[Point],
     q: int,
     m: int,
     n_range,
     max_order: int = DEFAULT_MAX_ORDER,
-) -> CentralizerGrowth:
-    """|Z(g) ∩ G(F_{q^{mN}})| for each N, by enumeration at level q^{mN}."""
-    counts = []
+) -> list[CentralizerGrowth]:
+    """|Z(g) ∩ G(F_{q^{mN}})| for each point g and each N, one enumeration per level."""
+    counts: list[list[tuple[int, int]]] = [[] for _ in points]
     for N in n_range:
         view = enumerate_group(law, tower, q, m * N, max_order=max_order)
-        counts.append((N, int(centralizer(view, view.ops.embed(g, view.field)).size)))
-    dim, comp, stable = _growth_estimates(counts, q**m)
-    return CentralizerGrowth(counts, dim, comp, stable)
+        for g, row in zip(points, counts):
+            row.append((N, int(centralizer(view, view.ops.embed(g, view.field)).size)))
+    return [CentralizerGrowth(row, *_growth_estimates(row, q**m)) for row in counts]
 
 
 def _growth_estimates(counts, base: int):

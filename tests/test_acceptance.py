@@ -185,7 +185,7 @@ def test_criterion_6_centralizer_growth():
     view = enumerate_group(law, tower, 3, 1)
     g = view.point(3)  # (1, 0)
     assert _coords(g) == (1, 0)
-    growth = centralizer_counts(law, tower, g, 3, 1, range(1, 4))
+    [growth] = centralizer_counts(law, tower, [g], 3, 1, range(1, 4))
     assert growth.counts == [(1, 9), (2, 27), (3, 81)]
     assert growth.dimension == 1 and growth.components == 3 and growth.stable
 
@@ -193,7 +193,7 @@ def test_criterion_6_centralizer_growth():
         t = FieldTower(p)
         lw = builtin(family, p, param)
         vw = enumerate_group(lw, t, q, 1)
-        e_growth = centralizer_counts(lw, t, vw.point(0), q, 1, range(1, 4))
+        [e_growth] = centralizer_counts(lw, t, [vw.point(0)], q, 1, range(1, 4))
         assert e_growth.counts == [(N, (q**N) ** d) for N in range(1, 4)]
         assert e_growth.dimension == d and e_growth.components == 1 and e_growth.stable
     print("\nACCEPTANCE 6: PASS - centralizer growth exact (9/27/81; identity full-dimensional)")

@@ -15,7 +15,7 @@ from asaitwist.cache import (
 )
 from asaitwist.cli import main
 from asaitwist.fields import FieldTower
-from asaitwist.grouplaw import builtin
+from asaitwist.grouplaw import builtin, canonical_text
 from asaitwist.points import conjugacy_classes, enumerate_group
 
 GROWTH_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "centralizer_growth.py"
@@ -328,6 +328,39 @@ def test_dsl_nonassociative_law_rejected_before_use(runner, tmp_path):
     assert "associativity" in res.output
     res = invoke(runner, ["validate", "--dsl", str(bad), "--q", "3"])
     assert res.exit_code == 3
+
+
+def test_validate_samples_every_check_at_q_65536(runner):
+    """|G(F_q)| = 2^48: the draws need no combined codes and the inverse
+    check samples instead of enumerating the group."""
+    res = invoke(runner, ["validate", "--group", "ul(3)", "--q", "65536"])
+    assert res.exit_code == 0
+    lines = res.stdout.splitlines()
+    assert len(lines) == 6 and all(line.startswith("ok   ") for line in lines)
+    assert "ok   inverse (1000 sampled points)" in lines
+
+
+def test_dsl_law_at_q_65536_validates_then_hits_the_cap(runner, tmp_path):
+    law = tmp_path / "ul3.law"
+    law.write_text(canonical_text(builtin("ul", 2, 3)))
+    res = invoke(runner, ["asai", "--dsl", str(law), "--q", "65536", "--m", "1"])
+    assert res.exit_code == 4
+    errors = [line for line in res.stderr.splitlines() if not line.startswith("elapsed ")]
+    assert len(errors) == 1 and errors[0].startswith("error: cap exceeded: ")
+
+
+def test_nonassociative_law_rejected_by_sampled_triples(runner, tmp_path):
+    """121 points over F_11 put the triple count above 10^6, so
+    associativity is sampled; the cocycle x1^2 * y1 still fails it."""
+    bad = tmp_path / "na.law"
+    bad.write_text(
+        "group na dim 2 char 11\nmul[1] = x1 + y1\nmul[2] = x2 + y2 + x1^2 * y1\n"
+    )
+    res = invoke(runner, ["validate", "--dsl", str(bad), "--q", "11"])
+    assert res.exit_code == 3
+    lines = res.stdout.splitlines()
+    assert "FAIL associativity (1000 sampled triples)" in lines
+    assert any(line.endswith(" inverse (all 121 points)") for line in lines)
 
 
 def _as_job(command, args):

@@ -30,6 +30,10 @@ GOLDEN = [
         "0636f6f6103fad18932ed9e7c224f9146e5ff714def6a859163e22009d2472c6",
     ),
     (
+        ["asai", "--group", "ul(4)", "--q", "2", "--m", "1"],
+        "ab1deeb553a3202cceda7d935b4c531efd4f8b941af185e9674b5d805b9938f9",
+    ),
+    (
         ["classes", "--group", "ul(3)", "--q", "3", "--m", "1"],
         "319b521e982cdeb1c6aa9531405c27327691c349ea680a91ab5b93d9c4aa786c",
     ),

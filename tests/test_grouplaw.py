@@ -1,8 +1,12 @@
+from dataclasses import replace
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asaitwist import grouplaw
 from asaitwist.errors import (
     GroupLawSemanticError,
     GroupLawSyntaxError,
@@ -88,6 +92,63 @@ def test_ul_matches_matrix_multiplication(n, p):
         mprod = (ma @ mb) % p
         for idx, (i, j) in enumerate(coords):
             assert za[idx, 0] == mprod[i - 1, j - 1]
+
+
+def ul_mul_oracle(p, n):
+    """ul(n) coordinates assembled as exponent vectors: the term x_ij, the
+    term y_ij and one term x_ik * y_kj for each i < k < j."""
+    coords = ul_coordinates(n)
+    pos = {c: k for k, c in enumerate(coords)}
+    dim = len(coords)
+    nv = 2 * dim
+    mul = []
+    for (i, j) in coords:
+        raw = []
+        xi = [0] * nv
+        xi[pos[(i, j)]] = 1
+        raw.append((1, tuple(xi)))
+        yi = [0] * nv
+        yi[dim + pos[(i, j)]] = 1
+        raw.append((1, tuple(yi)))
+        for k in range(i + 1, j):
+            e = [0] * nv
+            e[pos[(i, k)]] = 1
+            e[dim + pos[(k, j)]] = 1
+            raw.append((1, tuple(e)))
+        mul.append(Polynomial.make(p, nv, raw))
+    return tuple(mul)
+
+
+def ul_inv_oracle(p, n):
+    """ul(n) inverse coordinates from (I + N)^{-1} = I + sum_{k=1}^{n-1} (-N)^k,
+    with N the strictly upper matrix of the x variables."""
+    coords = ul_coordinates(n)
+    nv = 2 * len(coords)
+    zero = Polynomial.zero(p, nv)
+    neg = [[zero] * n for _ in range(n)]
+    for k, (i, j) in enumerate(coords):
+        neg[i - 1][j - 1] = Polynomial.variable(p, nv, k).neg()
+
+    def matmul(a, b):
+        return [
+            [reduce(Polynomial.add, (a[i][k].mul(b[k][j]) for k in range(n)), zero)
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    power, total = neg, neg
+    for _ in range(n - 2):
+        power = matmul(power, neg)
+        total = [[a.add(b) for a, b in zip(r, s)] for r, s in zip(total, power)]
+    return tuple(total[i - 1][j - 1] for (i, j) in coords)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ul_mul_and_inv_match_oracles(n, p):
+    law = builtin("ul", p, n)
+    assert law.mul == ul_mul_oracle(p, n)
+    assert law.inv == ul_inv_oracle(p, n)
 
 
 def test_ul3_inverse_matches_matrix_inverse_exhaustive():
@@ -257,6 +318,35 @@ def test_validate_detects_identity_violation():
     rep = validate_law(broken, FieldTower(p), 3)
     assert not rep.passed
     assert any(nm == "identity" and not ok for nm, ok, _ in rep.checks)
+
+
+def test_validate_samples_every_coordinate_above_int64_codes(monkeypatch):
+    """ul(4) over F_16 at level 3 has (2^12)^6 = 2^72 points: the sampled
+    triples are uniform digit arrays, so the leading coordinate takes far
+    more than the 4 values that codes clamped below 2^62 could give it."""
+    seen = []
+
+    def recording(law, tower, fid, x, y):
+        if fid.degree == 12:
+            seen.append(tower.digits_to_codes(fid, x[..., 0, :]))
+        return eval_mul(law, tower, fid, x, y)
+
+    monkeypatch.setattr(grouplaw, "eval_mul", recording)
+    rep = validate_law(builtin("ul", 2, 4), FieldTower(2), 16)
+    assert rep.passed
+    assert len(np.unique(seen[0])) > 500
+
+
+def test_validate_samples_inverse_above_a_million_points():
+    """ul(3) over F_2^16 has 2^48 points; a wrong inverse is still caught."""
+    law = builtin("ul", 2, 3)
+    x = [Polynomial.variable(2, 6, i) for i in range(3)]
+    rep = validate_law(law, FieldTower(2), 65536, sample_budget=200)
+    assert rep.passed
+    assert ("inverse", True, "200 sampled points") in rep.checks
+    broken = replace(law, inv=tuple(x))  # drops the x1 * x2 term of inv_3
+    rep = validate_law(broken, FieldTower(2), 65536, sample_budget=200)
+    assert rep.failures() == ["inverse: 200 sampled points"]
 
 
 def test_validate_bad_q():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 
 from asaitwist.errors import CapExceeded, ParameterError
 from asaitwist.fields import FieldTower
+from asaitwist import points as points_module
 from asaitwist.grouplaw import all_tuples, builtin, eval_mul, parse_group_name
 from asaitwist.points import (
     FiniteGroupView,
@@ -206,7 +207,7 @@ def test_centralizer_counts_n2():
     law = builtin("n2", 3)
     view = enumerate_group(law, tower, 3, 1)
     g = view.point(3)  # combined code 3 -> coords (1, 0)
-    growth = centralizer_counts(law, tower, g, 3, 1, range(1, 4))
+    [growth] = centralizer_counts(law, tower, [g], 3, 1, range(1, 4))
     assert growth.counts == [(1, 9), (2, 27), (3, 81)]
     assert growth.dimension == 1 and growth.components == 3 and growth.stable
 
@@ -215,14 +216,14 @@ def test_centralizer_counts_identity_and_ga():
     t2 = FieldTower(2)
     ul3 = builtin("ul", 2, 3)
     view = enumerate_group(ul3, t2, 2, 1)
-    growth = centralizer_counts(ul3, t2, view.point(0), 2, 1, range(1, 4))
+    [growth] = centralizer_counts(ul3, t2, [view.point(0)], 2, 1, range(1, 4))
     assert growth.counts == [(1, 8), (2, 64), (3, 512)]
     assert growth.dimension == 3 and growth.components == 1 and growth.stable
 
     ga2 = builtin("ga_power", 2, 2)
     gview = enumerate_group(ga2, t2, 2, 1)
     g = gview.point(3)
-    growth = centralizer_counts(ga2, t2, g, 2, 1, range(1, 4))
+    [growth] = centralizer_counts(ga2, t2, [g], 2, 1, range(1, 4))
     assert growth.counts == [(1, 4), (2, 16), (3, 64)]
     assert growth.dimension == 2 and growth.components == 1 and growth.stable
 
@@ -231,11 +232,31 @@ def test_counts_nondecreasing_and_divisible():
     tower = FieldTower(3)
     law = builtin("n2", 3)
     view = enumerate_group(law, tower, 3, 1)
-    for i in range(view.order):
-        growth = centralizer_counts(law, tower, view.point(i), 3, 1, range(1, 3))
+    for growth in centralizer_counts(law, tower, list(view.points()), 3, 1, range(1, 3)):
         counts = [c for _, c in growth.counts]
         assert counts == sorted(counts)
         assert counts[1] % counts[0] == 0
+
+
+def test_centralizer_counts_enumerates_each_level_once(monkeypatch):
+    """One view per level serves every point: the growth table of n2 over
+    F_3 at 4 levels enumerates 4 groups, not 4 per class."""
+    tower = FieldTower(3)
+    law = builtin("n2", 3)
+    table = conjugacy_classes(enumerate_group(law, tower, 3, 1))
+    reps = [table.rep_point(ci) for ci in range(len(table))]
+    singles = [centralizer_counts(law, tower, [g], 3, 1, range(1, 5))[0] for g in reps]
+
+    levels = []
+
+    def counting(law, tower, q, m, **kw):
+        levels.append(m)
+        return enumerate_group(law, tower, q, m, **kw)
+
+    monkeypatch.setattr(points_module, "enumerate_group", counting)
+    growths = centralizer_counts(law, tower, reps, 3, 1, range(1, 5))
+    assert levels == [1, 2, 3, 4]
+    assert len(reps) == 9 and growths == singles
 
 
 def test_point_index_round_trip(n2_f3):
@@ -276,11 +297,11 @@ def test_conjugation_kernels_match_scalar_oracle():
             cent = [h for h in range(n) if mul[g][h] == mul[h][g]]
             assert centralizer(view, pts[g]).tolist() == cent
 
-        base = enumerate_group(law, tower, p, 1)
-        for g in base.points():
+        base = list(enumerate_group(law, tower, p, 1).points())
+        growths = centralizer_counts(law, tower, base, p, 1, range(2, 3))
+        for g, growth in zip(base, growths, strict=True):
             ge = view.index_of(ops.embed(g, view.field))
             brute = sum(mul[ge][h] == mul[h][ge] for h in range(n))
-            growth = centralizer_counts(law, tower, g, p, 1, range(2, 3))
             assert growth.counts == [(2, brute)]
 
 
