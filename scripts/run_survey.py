@@ -18,7 +18,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from asaitwist.cli import RunConfig  # noqa: E402
 from asaitwist.easiness import easiness_crosscheck  # noqa: E402
+from asaitwist.errors import ParameterError  # noqa: E402
 from asaitwist.fields import FieldTower  # noqa: E402
 from asaitwist.grouplaw import builtin  # noqa: E402
 
@@ -39,6 +41,12 @@ def main() -> int:
     ap.add_argument("--max-order", type=int, default=2_000_000)
     ap.add_argument("--out", type=str, default=None)
     args = ap.parse_args()
+    try:
+        # the caps are easy-check's, so they are checked the way the CLI checks them
+        RunConfig("easy-check", q=2, group="ul(3)", max_m=args.max_m, max_order=args.max_order)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     rows = []
     for family, p, param, q in SURVEY:

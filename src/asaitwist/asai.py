@@ -72,18 +72,16 @@ class NormMapResult:
         return [self.view.point(int(o)) for o in self.image_ordinals]
 
 
-def norm_map(
-    view: FiniteGroupView,
-    table: ClassTable,
-    max_degree: int | None = None,
-) -> NormMapResult:
+def norm_map(view: FiniteGroupView, table: ClassTable) -> NormMapResult:
     """Batched Lang solve; asserts rather than assumes well-definedness.
 
     Every computed image is checked to equal both x^{-1} g x and
     F^m(x)^{-1} x and to be fixed by F^m before it is located in the
-    class table.  Every fixed class gets its centralizer witness here;
-    a failed witness check is recorded, and raised by
-    centralizer_witness.
+    class table.  Every fixed class gets its centralizer witness here,
+    and both of its checks (z g = g z, z^{-1} F^m(z) = g) run exactly;
+    a failure is recorded in witness_errors, the one verdict on
+    witnesses, and raised by centralizer_witness.  Extension degrees
+    are bounded by the tower's degree_cap (CapExceeded above it).
     """
     if table.view is not view:
         raise ParameterError("class table does not belong to this view")
@@ -99,7 +97,7 @@ def norm_map(
     for lo in range(0, n, _ROW_CHUNK):
         chunk = np.arange(lo, min(lo + _ROW_CHUNK, n))
         g = view._codes_to_digits(view.codes[table.reps[chunk]])
-        for lvl, rows, x in lang_solve_batch(law, tower, g, view.q, view.m, max_degree):
+        for lvl, rows, x in lang_solve_batch(law, tower, g, view.q, view.m):
             classes = chunk[rows]
             mul = partial(eval_mul, law, tower, lvl)
             inv = partial(eval_inv, law, tower, lvl)
@@ -291,13 +289,12 @@ def twisted_classes(elements, mult, endo) -> list[list]:
 
 @dataclass(frozen=True)
 class CentralizerWitness:
-    """z in Z(g) at level q^{m*n_multiplier} with z^{-1} F^m(z) = g."""
+    """z in Z(g) at level q^{m*n_multiplier} with z^{-1} F^m(z) = g;
+    norm_map has checked both properties."""
 
     g: Point
     z: Point
     n_multiplier: int
-    in_centralizer: bool
-    coboundary: bool
 
 
 def centralizer_witness(result: NormMapResult, ci: int) -> CentralizerWitness | None:
@@ -317,6 +314,4 @@ def centralizer_witness(result: NormMapResult, ci: int) -> CentralizerWitness | 
         g=result.table.rep_point(ci),
         z=digits_point(lvl, z[int(result.where[ci, 1])]),
         n_multiplier=lvl.degree // result.view.field.degree,
-        in_centralizer=True,
-        coboundary=True,
     )

@@ -9,8 +9,10 @@ evidence ("easy up to M"), never proof, because the quantifier runs over
 every m.
 
 Both entry points take levels from one loop, which ends at the first cap
-hit, and classify them with one rule, `_verdict`.  The scan is that loop
-stopped at its first certificate; the crosscheck takes every level.
+hit (max_order, or the tower's degree_cap), and classify them with one
+rule, `_verdict`.  The scan is that loop stopped at its first
+certificate; the crosscheck takes every level.  A class's witness is the
+one norm_map checked; one that failed its checks counts as none.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .asai import CentralizerWitness, NormMapResult, centralizer_witness, norm_map
-from .errors import CapExceeded, InternalInconsistencyError
+from .errors import CapExceeded
 from .grouplaw import GroupLaw
 from .fields import FieldTower
 from .points import DEFAULT_MAX_ORDER, Point, conjugacy_classes, enumerate_group
@@ -140,12 +142,7 @@ class ConsistencyReport:
 
 
 def easiness_scan(
-    law: GroupLaw,
-    tower: FieldTower,
-    q: int,
-    max_m: int = 3,
-    max_order: int = DEFAULT_MAX_ORDER,
-    max_degree: int | None = None,
+    law: GroupLaw, tower: FieldTower, q: int, max_m: int = 3, max_order: int = DEFAULT_MAX_ORDER
 ) -> EasinessVerdict:
     """Run the norm map for m = 1..max_m and classify the law.
 
@@ -153,7 +150,7 @@ def easiness_scan(
     of non-easiness, with the first moved class as witness.
     """
     levels: list[LevelCheck] = []
-    for lc in _level_checks(law, tower, q, max_m, max_order, max_degree):
+    for lc in _level_checks(law, tower, q, max_m, max_order):
         levels.append(lc)
         if not all(lc.fixed):
             break
@@ -161,38 +158,26 @@ def easiness_scan(
 
 
 def check_level(
-    law: GroupLaw,
-    tower: FieldTower,
-    q: int,
-    m: int,
-    max_order: int = DEFAULT_MAX_ORDER,
-    max_degree: int | None = None,
+    law: GroupLaw, tower: FieldTower, q: int, m: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> LevelCheck:
+    """Norm map at level m; a witness that failed its checks counts as none."""
     view = enumerate_group(law, tower, q, m, max_order=max_order)
     table = conjugacy_classes(view)
-    result = norm_map(view, table, max_degree=max_degree)
+    result = norm_map(view, table)
     fixed = [result.perm[c] == c for c in range(len(table))]
-    witnesses: list[CentralizerWitness | None] = []
-    agree: list[bool] = []
-    for ci in range(len(table)):
-        try:
-            w = centralizer_witness(result, ci)
-        except InternalInconsistencyError:
-            w = None
-            agree.append(False)
-            witnesses.append(None)
-            continue
-        witnesses.append(w)
-        found = w is not None and w.in_centralizer and w.coboundary
-        agree.append(found == fixed[ci])
+    witnesses = [
+        None if ci in result.witness_errors else centralizer_witness(result, ci)
+        for ci in range(len(table))
+    ]
+    agree = [(w is not None) == f for w, f in zip(witnesses, fixed)]
     return LevelCheck(m, result, fixed, witnesses, agree)
 
 
-def _level_checks(law, tower, q, max_m, max_order, max_degree) -> Iterator[LevelCheck]:
+def _level_checks(law, tower, q, max_m, max_order) -> Iterator[LevelCheck]:
     """Check levels m = 1, 2, ..., max_m in turn; stop at the first cap hit."""
     for m in range(1, max_m + 1):
         try:
-            lc = check_level(law, tower, q, m, max_order=max_order, max_degree=max_degree)
+            lc = check_level(law, tower, q, m, max_order=max_order)
         except CapExceeded:
             return
         yield lc
@@ -219,15 +204,10 @@ def _verdict(levels: list[LevelCheck], max_m: int) -> EasinessVerdict:
 
 
 def easiness_crosscheck(
-    law: GroupLaw,
-    tower: FieldTower,
-    q: int,
-    max_m: int = 3,
-    max_order: int = DEFAULT_MAX_ORDER,
-    max_degree: int | None = None,
+    law: GroupLaw, tower: FieldTower, q: int, max_m: int = 3, max_order: int = DEFAULT_MAX_ORDER
 ) -> ConsistencyReport:
     """Full matrix over m <= max_m: fixedness, witnesses, agreement, label."""
-    levels = list(_level_checks(law, tower, q, max_m, max_order, max_degree))
+    levels = list(_level_checks(law, tower, q, max_m, max_order))
     verdict = _verdict(levels, max_m)
 
     internally_consistent = all(lc.consistent for lc in levels)

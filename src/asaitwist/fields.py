@@ -666,26 +666,13 @@ class FieldTower:
             cur = self.vfrob(x.field, cur, sub.degree)
         return self.section(self._el(x.field, acc), sub)
 
-    def artin_schreier_solve(
-        self,
-        c: FieldElement,
-        q: int,
-        m: int,
-        max_degree: int | None = None,
-    ) -> FieldElement:
+    def artin_schreier_solve(self, c: FieldElement, q: int, m: int) -> FieldElement:
         """Code-least t with t^{q^m} - t = c: one row of vartin_schreier_solve."""
-        [(fid, _, sol)] = self.vartin_schreier_solve(
-            c.field, self._dig(c)[None, :], q, m, max_degree=max_degree
-        )
+        [(fid, _, sol)] = self.vartin_schreier_solve(c.field, self._dig(c)[None, :], q, m)
         return self._el(fid, sol[0])
 
     def vartin_schreier_solve(
-        self,
-        fid: FieldId,
-        c: np.ndarray,
-        q: int,
-        m: int,
-        max_degree: int | None = None,
+        self, fid: FieldId, c: np.ndarray, q: int, m: int
     ) -> list[tuple[FieldId, np.ndarray, np.ndarray]]:
         """Code-least t with t^{q^m} - t = c for every digit row of c.
 
@@ -694,8 +681,9 @@ class FieldTower:
         containing it, so the answer does not depend on the level at which
         it happens to be represented.  Its solution lives either there or
         in the single p-fold extension where the relative trace
-        obstruction vanishes.  Returns (field, row indices, solution
-        digits) groups that together cover every row once.
+        obstruction vanishes; building that extension is the one check
+        against the tower's degree cap.  Returns (field, row indices,
+        solution digits) groups that together cover every row once.
         """
         e = p_power_exponent(q, self.p) * m
         if fid.degree % e:
@@ -709,7 +697,6 @@ class FieldTower:
             hit = self.vfixed_by(fid, c[todo], e * s)
             base[todo[hit]] = e * s
             todo = todo[~hit]
-        cap = self.degree_cap if max_degree is None else min(max_degree, self.degree_cap)
         groups = []
         for degree in np.unique(base).tolist():
             rows = np.nonzero(base == degree)[0]
@@ -720,13 +707,8 @@ class FieldTower:
                 groups.append((sub, rows[ok], sol[ok]))
             if ok.all():
                 continue
-            bigger = degree * self.p
-            if bigger > cap:
-                raise CapExceeded(
-                    f"Artin-Schreier solution needs degree {bigger} > cap {cap}"
-                )
-            big = self.make_field(bigger)
-            sol, found = self._as_try(bigger, e, self.vembed(sub, big, cb[~ok]))
+            big = self.make_field(degree * self.p)
+            sol, found = self._as_try(big.degree, e, self.vembed(sub, big, cb[~ok]))
             if not found.all():
                 raise InternalInconsistencyError(
                     "Artin-Schreier equation unsolvable in the p-fold extension"

@@ -517,6 +517,8 @@ def canonical_text(law: GroupLaw) -> str:
 # associativity is exhaustive while the number of triples, and the inverse
 # check while the number of points, stays within this; both sample above it
 _EXHAUSTIVE_LIMIT = 10**6
+# sampled checks draw and evaluate at most this many rows at a time
+_SAMPLE_CHUNK = 1 << 14
 
 
 @dataclass
@@ -576,6 +578,8 @@ def validate_law(
     check over all points while those counts stay within 10^6; above that
     both sample.  Sampled triples at the q^2 and q^3 levels and
     sampled pairs for the Frobenius homomorphism check are always drawn.
+    Samples are drawn and checked _SAMPLE_CHUNK rows at a time, so memory
+    does not grow with sample_budget.
     """
     n = p_power_exponent(q, law.p)
     rep = ValidationReport(law.name, q)
@@ -583,13 +587,28 @@ def validate_law(
     fid = tower.make_field(n)
     order = q**law.dim
 
-    def draw(fj: FieldId, *shape: int) -> np.ndarray:
-        """Uniform points of G over fj: digit arrays of shape (*shape, d, k)."""
-        return rng.integers(0, law.p, size=(*shape, law.dim, fj.degree))
+    def sampled(fj: FieldId, arity: int, count: int, check) -> bool:
+        """check(fj, *points) on count uniform arity-tuples of points over
+        fj, drawn as digit arrays _SAMPLE_CHUNK rows at a time."""
+        ok = True
+        for lo in range(0, count, _SAMPLE_CHUNK):
+            rows = min(_SAMPLE_CHUNK, count - lo)
+            ok &= check(fj, *rng.integers(0, law.p, size=(arity, rows, law.dim, fj.degree)))
+        return ok
 
     def associative(fj: FieldId, a, b, c) -> bool:
         lhs = eval_mul(law, tower, fj, eval_mul(law, tower, fj, a, b), c)
         rhs = eval_mul(law, tower, fj, a, eval_mul(law, tower, fj, b, c))
+        return bool(np.array_equal(lhs, rhs))
+
+    def inverse(fj: FieldId, x) -> bool:
+        invs = eval_inv(law, tower, fj, x)
+        left, right = eval_mul(law, tower, fj, x, invs), eval_mul(law, tower, fj, invs, x)
+        return not (left.any() or right.any())
+
+    def frobenius_hom(fj: FieldId, g, h) -> bool:
+        lhs = tower.vfrob(fj, eval_mul(law, tower, fj, g, h), n)
+        rhs = eval_mul(law, tower, fj, tower.vfrob(fj, g, n), tower.vfrob(fj, h, n))
         return bool(np.array_equal(lhs, rhs))
 
     # identity at the origin, as polynomials
@@ -603,12 +622,12 @@ def validate_law(
 
     # associativity
     if order**3 <= _EXHAUSTIVE_LIMIT:
-        a, b, c = elems[np.indices((order,) * 3).reshape(3, -1)]
+        ok = associative(fid, *elems[np.indices((order,) * 3).reshape(3, -1)])
         detail = f"exhaustive over {order}^3 triples"
     else:
-        a, b, c = draw(fid, 3, sample_budget)
+        ok = sampled(fid, 3, sample_budget, associative)
         detail = f"{sample_budget} sampled triples"
-    rep.add("associativity", associative(fid, a, b, c), detail)
+    rep.add("associativity", ok, detail)
 
     # sampled associativity at the q^2 and q^3 levels
     size = max(sample_budget, 1000)
@@ -616,27 +635,18 @@ def validate_law(
         fj = tower.make_field(n * j)
         rep.add(
             f"associativity_level_{j}",
-            associative(fj, *draw(fj, 3, size)),
+            sampled(fj, 3, size, associative),
             f"{size} sampled triples over F_q^{j}",
         )
 
     # inverse correctness on all of G(F_q), or on sampled points above the limit
     if elems is None:
-        elems, detail = draw(fid, sample_budget), f"{sample_budget} sampled points"
+        ok, detail = sampled(fid, 1, sample_budget, inverse), f"{sample_budget} sampled points"
     else:
-        detail = f"all {order} points"
-    invs = eval_inv(law, tower, fid, elems)
-    left = eval_mul(law, tower, fid, elems, invs)
-    right = eval_mul(law, tower, fid, invs, elems)
-    rep.add("inverse", not (left.any() or right.any()), detail)
+        ok, detail = inverse(fid, elems), f"all {order} points"
+    rep.add("inverse", ok, detail)
 
     # Frobenius is a group endomorphism (coefficients lie in F_p)
-    ok = True
-    for j in (1, 2):
-        fj = tower.make_field(n * j)
-        g, h = draw(fj, 2, sample_budget)
-        lhs = tower.vfrob(fj, eval_mul(law, tower, fj, g, h), n)
-        rhs = eval_mul(law, tower, fj, tower.vfrob(fj, g, n), tower.vfrob(fj, h, n))
-        ok = ok and bool(np.array_equal(lhs, rhs))
-    rep.add("frobenius_endomorphism", ok, f"{sample_budget} sampled pairs x 2 levels")
+    ok = [sampled(tower.make_field(n * j), 2, sample_budget, frobenius_hom) for j in (1, 2)]
+    rep.add("frobenius_endomorphism", all(ok), f"{sample_budget} sampled pairs x 2 levels")
     return rep

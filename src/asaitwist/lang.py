@@ -4,7 +4,9 @@ For a triangular law the i-th coordinate of x * F^m(x)^{-1} is
 t_i - t_i^{q^m} + (known expression in t_1..t_{i-1}), so each coordinate
 is one Artin-Schreier equation t^{q^m} - t = c over the field generated
 so far.  Every step extends the working field by a factor of at most p,
-so the witness lives in degree at most p^d * m * n over F_p.
+so the witness lives in degree at most p^d * m * n over F_p.  The
+tower's degree_cap is the only limit on that degree: a solve that needs
+a larger field raises CapExceeded when the tower is asked to build it.
 
 lang_solve_batch solves many g at once on (rows, d, k) digit arrays.  It
 walks the coordinates with the rows grouped by their current level,
@@ -49,19 +51,15 @@ class LangWitness:
 
 
 def default_degree_cap(law: GroupLaw, q: int, m: int) -> int:
-    """Default extension cap: triangular solving extends at most p-fold
-    per coordinate, so p^dim times the base degree n*m suffices."""
+    """Bound on the witness degree: triangular solving extends at most
+    p-fold per coordinate, so no witness needs more than p^dim times the
+    base degree n*m.  Reports record it when no tower cap is given."""
     n = p_power_exponent(q, law.p)
     return law.p**law.dim * m * n
 
 
 def lang_solve_batch(
-    law: GroupLaw,
-    tower: FieldTower,
-    g: np.ndarray,
-    q: int,
-    m: int,
-    max_degree: int | None = None,
+    law: GroupLaw, tower: FieldTower, g: np.ndarray, q: int, m: int
 ) -> list[tuple[FieldId, np.ndarray, np.ndarray]]:
     """Coordinate-by-coordinate Artin-Schreier reduction for every row of g.
 
@@ -78,8 +76,6 @@ def lang_solve_batch(
     g = np.asarray(g, dtype=np.int64)
     if g.shape[1:] != (law.dim, base.degree):
         raise ParameterError("g must be given at level F_{q^m}")
-    if max_degree is None:
-        max_degree = default_degree_cap(law, q, m)
     # level degree -> (rows, partial points); coordinates >= i stay zero
     # and do not feed back into coordinate i for triangular laws
     levels = {base.degree: (np.arange(len(g)), np.zeros_like(g))}
@@ -90,9 +86,7 @@ def lang_solve_batch(
             fx = tower.vfrob(cur, xt, base.degree)
             z = eval_mul(law, tower, cur, xt, eval_inv(law, tower, cur, fx))
             c = (z[:, i] - tower.vembed(base, cur, g[rows, i])) % law.p
-            for fid, sel, t in tower.vartin_schreier_solve(
-                cur, c, q, m, max_degree=max_degree
-            ):
+            for fid, sel, t in tower.vartin_schreier_solve(cur, c, q, m):
                 if fid.degree > degree:
                     level, x = fid, tower.vembed(cur, fid, xt[sel])
                 else:
@@ -116,16 +110,11 @@ def lang_solve_batch(
 
 
 def lang_solve_triangular(
-    law: GroupLaw,
-    tower: FieldTower,
-    g: Point,
-    q: int,
-    m: int,
-    max_degree: int | None = None,
+    law: GroupLaw, tower: FieldTower, g: Point, q: int, m: int
 ) -> LangWitness:
     """Coordinate-by-coordinate Artin-Schreier reduction: lang_solve_batch
     on the single point g, so its witness is the same code-least one."""
-    [(fid, _, x)] = lang_solve_batch(law, tower, point_digits(g)[None], q, m, max_degree)
+    [(fid, _, x)] = lang_solve_batch(law, tower, point_digits(g)[None], q, m)
     return LangWitness(g, digits_point(fid, x[0]), fid.degree // g.field.degree, q, m)
 
 

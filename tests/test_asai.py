@@ -238,11 +238,14 @@ def test_twisted_classes_closure_failure():
 
 def test_centralizer_witness_biconditional(n2_result, ul3_result):
     for _, _, view, table, res in (n2_result, ul3_result):
+        ops = view.ops
         for ci in range(len(table)):
             w = centralizer_witness(res, ci)
             assert (w is not None) == (res.perm[ci] == ci)
             if w is not None:
-                assert w.in_centralizer and w.coboundary
+                g = ops.embed(w.g, w.z.field)
+                assert ops.mul(w.z, g) == ops.mul(g, w.z)
+                assert ops.mul(ops.inv(w.z), ops.frobenius(w.z, view.q, view.m)) == g
 
 
 def test_centralizer_witness_identity_class(ul3_result):

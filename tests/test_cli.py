@@ -16,9 +16,11 @@ from asaitwist.cache import (
 from asaitwist.cli import main
 from asaitwist.fields import FieldTower
 from asaitwist.grouplaw import builtin, canonical_text
-from asaitwist.points import conjugacy_classes, enumerate_group
+from asaitwist.points import FiniteGroupView, conjugacy_classes, enumerate_group
 
-GROWTH_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "centralizer_growth.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GROWTH_SCRIPT = SCRIPTS / "centralizer_growth.py"
+SURVEY_SCRIPT = SCRIPTS / "run_survey.py"
 
 N2_TEXT = """group n2 dim 2 char 3
 mul[1] = x1 + y1
@@ -441,16 +443,16 @@ def test_run_rejects_malformed_config_file(runner, tmp_path, text, reason):
     assert res.output.count("\n") == 1
 
 
-def _growth_script(monkeypatch):
+def _load_script(monkeypatch, path):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
-    spec = importlib.util.spec_from_file_location("centralizer_growth", GROWTH_SCRIPT)
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
 
 
 def test_growth_script_cap_exceeded_exit_4(monkeypatch, capsys):
-    script = _growth_script(monkeypatch)
+    script = _load_script(monkeypatch, GROWTH_SCRIPT)
     argv = ["centralizer_growth.py", "--group", "n2", "--q", "3", "--levels", "5",
             "--max-order", "10000"]
     monkeypatch.setattr("sys.argv", argv)
@@ -471,12 +473,36 @@ def test_growth_script_cap_exceeded_exit_4(monkeypatch, capsys):
     ],
 )
 def test_growth_script_bad_options_exit_3(monkeypatch, capsys, args, reason):
-    script = _growth_script(monkeypatch)
+    script = _load_script(monkeypatch, GROWTH_SCRIPT)
     monkeypatch.setattr("sys.argv", ["centralizer_growth.py", *args])
     assert script.main() == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and reason in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args,reason",
+    [
+        (["--max-m", "0"], "m and max_m must be at least 1"),
+        (["--max-order", "0"], "max_order, max_ext and sample_budget must be positive"),
+    ],
+)
+def test_survey_script_bad_options_exit_3(monkeypatch, capsys, args, reason):
+    script = _load_script(monkeypatch, SURVEY_SCRIPT)
+    monkeypatch.setattr("sys.argv", ["run_survey.py", *args])
+    assert script.main() == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and reason in err and err.count("\n") == 1
+
+
+def test_survey_script_one_level(monkeypatch, capsys):
+    script = _load_script(monkeypatch, SURVEY_SCRIPT)
+    monkeypatch.setattr("sys.argv", ["run_survey.py", "--max-m", "1"])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all(line.startswith("[ok] ") for line in lines)
 
 
 def _rewrite_payload(path, payload):
@@ -542,3 +568,28 @@ def test_cache_ignores_malformed_documents(runner, tmp_path, corrupt, message):
     assert res.exit_code == 0
     assert res.stderr.count("ignoring") == 1 and f"{message}, ignoring" in res.stderr
     assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_failed_witness_search_exits_5(runner, tmp_path, monkeypatch):
+    """A fixed class whose conjugator search finds nothing is a bug: asai
+    writes no report, easy-check reports the disagreement, both exit 5."""
+    monkeypatch.setattr(FiniteGroupView, "find_conjugator", lambda self, g, h: None)
+    out = tmp_path / "asai.json"
+    res = invoke(runner, ["asai", "--group", "ul(3)", "--q", "2", "--m", "2", "--out", str(out)])
+    assert res.exit_code == 5
+    errors = [line for line in res.stderr.splitlines() if not line.startswith("elapsed ")]
+    assert len(errors) == 1 and errors[0].startswith("internal inconsistency: ")
+    assert not out.exists()
+
+    out = tmp_path / "easy.json"
+    res = invoke(runner, ["easy-check", "--group", "ul(3)", "--q", "2", "--max-m", "2",
+                          "--out", str(out)])
+    assert res.exit_code == 5
+    errors = [line for line in res.stderr.splitlines() if line.startswith("internal ")]
+    assert errors == [
+        "internal inconsistency: fixed-class/witness biconditional violated; see report"
+    ]
+    report = json.loads(out.read_text())
+    assert report["internally_consistent"] is False
+    [level] = [lv for lv in report["levels"] if lv["m"] == 2]
+    assert level["agree"].count(False) == 6

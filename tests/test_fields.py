@@ -383,10 +383,10 @@ def test_artin_schreier_always_reverifies(code, qm):
 
 
 def test_artin_schreier_cap():
-    t3 = FieldTower(3)
+    t3 = FieldTower(3, degree_cap=2)
     c = t3.one(t3.make_field(1))
     with pytest.raises(CapExceeded):
-        t3.artin_schreier_solve(c, 3, 1, max_degree=2)
+        t3.artin_schreier_solve(c, 3, 1)
 
 
 def test_artin_schreier_shrinks_representation():

@@ -349,6 +349,23 @@ def test_validate_samples_inverse_above_a_million_points():
     assert rep.failures() == ["inverse: 200 sampled points"]
 
 
+def test_validate_checks_large_budgets_in_chunks(monkeypatch):
+    """A budget one row above the chunk is drawn and checked in two chunks,
+    so no evaluation sees more rows than the chunk; 2^21 points put every
+    check on samples."""
+    rows = []
+
+    def recording(law, tower, fid, x, y):
+        rows.append(len(x))
+        return eval_mul(law, tower, fid, x, y)
+
+    monkeypatch.setattr(grouplaw, "eval_mul", recording)
+    chunk = grouplaw._SAMPLE_CHUNK
+    rep = validate_law(builtin("ul", 2, 3), FieldTower(2), 1 << 7, sample_budget=chunk + 1)
+    assert rep.passed and len(rep.checks) == 6
+    assert max(rows) == chunk and 1 in rows
+
+
 def test_validate_bad_q():
     with pytest.raises(ParameterError):
         validate_law(builtin("n2", 3), FieldTower(3), 4)

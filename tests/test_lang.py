@@ -176,11 +176,11 @@ def test_default_degree_cap_formula():
 
 
 def test_triangular_solver_respects_cap():
-    tower = FieldTower(3)
+    tower = FieldTower(3, degree_cap=2)
     law = builtin("ga_power", 3, 1)
     view = enumerate_group(law, tower, 3, 1)
     with pytest.raises(CapExceeded):
-        lang_solve_triangular(law, tower, view.point(1), 3, 1, max_degree=2)
+        lang_solve_triangular(law, tower, view.point(1), 3, 1)
 
 
 def test_bruteforce_notfound_at_cap():

@@ -85,12 +85,12 @@ def _check_batch_against_oracles(law, q, m):
 @pytest.mark.parametrize("group,p", [("n2", 3), ("ul(3)", 2), ("ga_power(2)", 2)])
 def test_batch_raises_cap_exceeded(group, p):
     law = parse_group_name(group, p)
-    tower = FieldTower(p)
+    tower = FieldTower(p, degree_cap=1)
     view = enumerate_group(law, tower, p, 1)
     g = all_tuples(tower, view.field, law.dim)
     # t^p - t = 1 has no root in F_p, so some row needs degree p
     with pytest.raises(CapExceeded):
-        lang_solve_batch(law, tower, g, p, 1, max_degree=1)
+        lang_solve_batch(law, tower, g, p, 1)
 
 
 def test_cli_cap_exceeded_from_batch_exits_4(tmp_path):
