@@ -1,7 +1,6 @@
 """Norm maps and Asai twisting on conjugacy classes of unipotent group laws."""
 
 from .asai import (
-    CentralizerWitness,
     ClassFunction,
     NormMapResult,
     asai_apply,

@@ -18,7 +18,7 @@ norm_map works in one batched pass over all class representatives, a
 chunk of rows at a time, on (rows, d, k) digit arrays: the Lang solve,
 the checks on the images, the class lookup of the images, and z with
 both of its checks for every fixed class.  centralizer_witness only
-reads the result.
+reads the result: a class's witness is its point z.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InternalInconsistencyError, ParameterError
-from .fields import FieldId, p_power_exponent
+from .fields import FieldId
 from .grouplaw import eval_inv, eval_mul
 
 # lang_solve_triangular is the one-point form of lang_solve_batch; it stays
@@ -87,7 +87,6 @@ def norm_map(view: FiniteGroupView, table: ClassTable) -> NormMapResult:
         raise ParameterError("class table does not belong to this view")
     law, tower = view.law, view.tower
     base = view.field
-    e = p_power_exponent(view.q, law.p) * view.m
     solves_before = tower.stats["artin_schreier_solves"]
     n = len(table)
     image_ordinals = np.empty(n, dtype=np.int64)
@@ -97,11 +96,11 @@ def norm_map(view: FiniteGroupView, table: ClassTable) -> NormMapResult:
     for lo in range(0, n, _ROW_CHUNK):
         chunk = np.arange(lo, min(lo + _ROW_CHUNK, n))
         g = view._codes_to_digits(view.codes[table.reps[chunk]])
-        for lvl, rows, x in lang_solve_batch(law, tower, g, view.q, view.m):
+        for lvl, rows, x in lang_solve_batch(law, tower, g):
             classes = chunk[rows]
             mul = partial(eval_mul, law, tower, lvl)
             inv = partial(eval_inv, law, tower, lvl)
-            frob = partial(tower.vfrob, lvl, e=e)
+            frob = partial(tower.vfrob, lvl, e=base.degree)
             ge = tower.vembed(base, lvl, g[rows])
             img = mul(inv(frob(x)), x)
             if not np.array_equal(mul(mul(inv(x), ge), x), img):
@@ -287,31 +286,18 @@ def twisted_classes(elements, mult, endo) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralizerWitness:
-    """z in Z(g) at level q^{m*n_multiplier} with z^{-1} F^m(z) = g;
-    norm_map has checked both properties."""
+def centralizer_witness(result: NormMapResult, ci: int) -> Point | None:
+    """The witness z of a fixed class; None for a moved class.
 
-    g: Point
-    z: Point
-    n_multiplier: int
-
-
-def centralizer_witness(result: NormMapResult, ci: int) -> CentralizerWitness | None:
-    """Witness for a fixed class; None for a moved class.
-
-    norm_map builds z from the first y in canonical order with
-    y^{-1} N(g) y = g (nonempty because the classes coincide) and
-    re-verifies both witness checks exactly; a failure is a bug, not a
-    legitimate outcome, and raises here.
+    z lies in Z(g) for g the class representative, has z^{-1} F^m(z) = g,
+    and lives in an extension of g's field.  norm_map builds z from the
+    first y in canonical order with y^{-1} N(g) y = g (nonempty because
+    the classes coincide) and re-verifies both witness checks exactly; a
+    failure is a bug, not a legitimate outcome, and raises here.
     """
     if result.perm[ci] != ci:
         return None
     if ci in result.witness_errors:
         raise InternalInconsistencyError(result.witness_errors[ci])
     lvl, z = result.levels[int(result.where[ci, 0])]
-    return CentralizerWitness(
-        g=result.table.rep_point(ci),
-        z=digits_point(lvl, z[int(result.where[ci, 1])]),
-        n_multiplier=lvl.degree // result.view.field.degree,
-    )
+    return digits_point(lvl, z[int(result.where[ci, 1])])

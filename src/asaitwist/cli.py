@@ -96,8 +96,9 @@ def _resolve_law(cfg: RunConfig, check_axioms: bool = False):
     tower = FieldTower(p, degree_cap=cfg.max_ext or DEFAULT_DEGREE_CAP)
     if check_axioms and cfg.dsl is not None:
         # the parser checks identity and triangularity only; associativity
-        # must be validated before a user law is first computed with
-        rep = validate_law(law, tower, cfg.q)
+        # must be validated before a user law is first computed with, on a
+        # tower of its own so that --max-ext caps only the job's fields
+        rep = validate_law(law, FieldTower(p), cfg.q)
         if not rep.passed:
             raise GroupLawSemanticError(
                 "law fails validation: " + "; ".join(rep.failures())
@@ -210,8 +211,8 @@ def _asai_body(cfg: RunConfig) -> None:
             if w is None
             else {
                 "found": True,
-                "degree": w.z.field.degree,
-                "z": _serialize_point(w.z),
+                "degree": w.field.degree,
+                "z": _serialize_point(w),
             }
             for w in witnesses
         ],

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .asai import CentralizerWitness, NormMapResult, centralizer_witness, norm_map
+from .asai import NormMapResult, centralizer_witness, norm_map
 from .errors import CapExceeded
 from .grouplaw import GroupLaw
 from .fields import FieldTower
@@ -111,7 +111,7 @@ class LevelCheck:
     m: int
     result: NormMapResult
     fixed: list[bool]
-    witnesses: list[CentralizerWitness | None]
+    witnesses: list[Point | None]
     agree: list[bool]
 
     @property

@@ -14,9 +14,9 @@ choices are deterministic:
   least root (same code order) of the degree-a defining polynomial that
   is compatible with every embedding already present in the tower, so
   that for a | b | c the composite a -> b -> c always equals a -> c;
-* the Artin-Schreier solver t^{q^m} - t = c returns the code-least
-  solution in the smallest field of the chain F_{q^m s}, F_{q^m s p}, ...
-  containing one.  It solves whole batches of digit rows at once; the
+* the Artin-Schreier solver t^{p^e} - t = c returns the code-least
+  solution in the smallest field of the chain F_{p^{e s}}, F_{p^{e s p}},
+  ... containing one.  It solves whole batches of digit rows at once; the
   scalar call is a batch of one row.
 
 Bulk operations act on numpy int64 "digit" arrays of shape (..., k) with
@@ -666,18 +666,18 @@ class FieldTower:
             cur = self.vfrob(x.field, cur, sub.degree)
         return self.section(self._el(x.field, acc), sub)
 
-    def artin_schreier_solve(self, c: FieldElement, q: int, m: int) -> FieldElement:
-        """Code-least t with t^{q^m} - t = c: one row of vartin_schreier_solve."""
-        [(fid, _, sol)] = self.vartin_schreier_solve(c.field, self._dig(c)[None, :], q, m)
+    def artin_schreier_solve(self, c: FieldElement, e: int) -> FieldElement:
+        """Code-least t with t^{p^e} - t = c: one row of vartin_schreier_solve."""
+        [(fid, _, sol)] = self.vartin_schreier_solve(c.field, self._dig(c)[None, :], e)
         return self._el(fid, sol[0])
 
     def vartin_schreier_solve(
-        self, fid: FieldId, c: np.ndarray, q: int, m: int
+        self, fid: FieldId, c: np.ndarray, e: int
     ) -> list[tuple[FieldId, np.ndarray, np.ndarray]]:
-        """Code-least t with t^{q^m} - t = c for every digit row of c.
+        """Code-least t with t^{p^e} - t = c for every digit row of c.
 
-        c has shape (rows, fid.degree) and fid must extend F_{q^m}.  Each
-        row is first shrunk to the smallest field of the chain F_{(q^m)^s}
+        c has shape (rows, fid.degree) and fid must extend F_{p^e}.  Each
+        row is first shrunk to the smallest field of the chain F_{p^{es}}
         containing it, so the answer does not depend on the level at which
         it happens to be represented.  Its solution lives either there or
         in the single p-fold extension where the relative trace
@@ -685,9 +685,8 @@ class FieldTower:
         against the tower's degree cap.  Returns (field, row indices,
         solution digits) groups that together cover every row once.
         """
-        e = p_power_exponent(q, self.p) * m
-        if fid.degree % e:
-            raise ParameterError("c does not lie in an extension of F_{q^m}")
+        if e < 1 or fid.degree % e:
+            raise ParameterError(f"c does not lie in an extension of F_{self.p}^{e}")
         c = np.asarray(c, dtype=np.int64)
         self.stats["artin_schreier_solves"] += len(c)
         # least subfield over the divisor chain; the last divisor is fid

@@ -75,9 +75,6 @@ class LawOps:
         self.law = law
         self.tower = tower
 
-    def identity(self, fid: FieldId) -> Point:
-        return digits_point(fid, np.zeros((self.law.dim, fid.degree), dtype=np.int64))
-
     def mul(self, a: Point, b: Point) -> Point:
         if a.field != b.field:
             raise ParameterError("points at different levels; embed first")
@@ -251,9 +248,6 @@ class FiniteGroupView:
         codes = self._digits_to_codes(point_digits(pt))
         return int(self.combine(codes))
 
-    def point_codes(self, pt: Point) -> np.ndarray:
-        return self._digits_to_codes(point_digits(pt))
-
     def points(self):
         for i in range(self.order):
             yield self.point(i)
@@ -390,10 +384,8 @@ def _commutative_as_polynomials(law: GroupLaw) -> bool:
 
 def centralizer(view: FiniteGroupView, g: Point) -> np.ndarray:
     """Ordinals of all h with hg = gh; a subgroup containing g."""
-    if g.field != view.field:
-        raise ParameterError("g is not in this view")
-    gc = view.point_codes(g)
-    return np.nonzero(view._conjugates(gc, 0, view.order) == view.combine(gc))[0]
+    i = view.index_of(g)
+    return np.nonzero(view._conjugates(view.codes[i], 0, view.order) == i)[0]
 
 
 @dataclass

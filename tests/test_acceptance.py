@@ -69,7 +69,7 @@ def test_criterion_1_nonexample_detection():
         if res.perm[ci] != ci:
             moved += 1
         # independent oracle: brute-force Lang search within extension cap 3^2
-        wb = lang_solve_bruteforce(law, tower, table.rep_point(ci), 3, 1, n_cap=9)
+        wb = lang_solve_bruteforce(law, tower, table.rep_point(ci), n_cap=9)
         assert wb is not None
         ops = view.ops
         img = ops.mul(ops.inv(ops.frobenius(wb.x, 3, 1)), wb.x)
@@ -114,12 +114,10 @@ def test_criterion_3_witness_biconditional_exhaustive():
                 disagreements += 1
                 continue
             if w is not None:
-                g = table.rep_point(ci)
-                lvl = w.z.field
-                ge = ops.embed(g, lvl)
+                ge = ops.embed(table.rep_point(ci), w.field)
                 if not (
-                    ops.mul(w.z, ge) == ops.mul(ge, w.z)
-                    and ops.mul(ops.inv(w.z), ops.frobenius(w.z, view.q, view.m)) == ge
+                    ops.mul(w, ge) == ops.mul(ge, w)
+                    and ops.mul(ops.inv(w), ops.frobenius(w, view.q, view.m)) == ge
                 ):
                     disagreements += 1
             classes_checked += 1
@@ -137,8 +135,8 @@ def test_criterion_4_lang_solver_oracle_equivalence():
         ops = view.ops
         for i in range(view.order):
             g = view.point(i)
-            wt = lang_solve_triangular(law, tower, g, q, 1)
-            wb = lang_solve_bruteforce(law, tower, g, q, 1, n_cap=9)
+            wt = lang_solve_triangular(law, tower, g)
+            wb = lang_solve_bruteforce(law, tower, g, n_cap=9)
             assert wb is not None
             lvl = tower.make_field(max(wt.x.field.degree, wb.x.field.degree))
             xt, xb = ops.embed(wt.x, lvl), ops.embed(wb.x, lvl)
@@ -242,17 +240,17 @@ def test_criterion_7_substrate_properties():
                         tower.embed(x, f6), tower.embed(y, f6)
                     )
 
-    # Artin-Schreier outputs re-verify, across several (q, m) shapes
+    # Artin-Schreier outputs t^{p^e} - t = c re-verify, for c in F_{p^e}
     solves = 0
-    for p, qq, m, cdeg in ((2, 2, 1, 1), (2, 2, 2, 2), (2, 4, 1, 2), (3, 3, 1, 1), (3, 3, 2, 2), (3, 9, 1, 2)):
+    for p, e, cdeg in ((2, 1, 1), (2, 2, 2), (3, 1, 1), (3, 2, 2)):
         tower = FieldTower(p)
         base = tower.make_field(cdeg)
         for code in range(base.order):
             c = tower.element_from_code(base, code)
-            t = tower.artin_schreier_solve(c, qq, m)
+            t = tower.artin_schreier_solve(c, e)
             big = t.field
             cc = tower.embed(c, big)
-            assert tower.sub(tower.frobenius(t, qq**m), t) == cc
+            assert tower.sub(tower.frobenius(t, p**e), t) == cc
             solves += 1
 
     # Frobenius^m fixes F_{q^m} pointwise

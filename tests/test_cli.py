@@ -113,6 +113,23 @@ def test_asai_cap_exceeded_exit_4(runner, tmp_path):
     assert res.exit_code == 4
 
 
+def test_max_ext_does_not_cap_the_axiom_check_of_a_dsl_law(runner, tmp_path):
+    """Validating a DSL law builds F_{q^2} and F_{q^3}; --max-ext 2 caps
+    the job's fields only, so the DSL run matches the built-in one."""
+    law_file = tmp_path / "ga2.law"
+    law_file.write_text(canonical_text(builtin("ga_power", 2, 2)))
+    docs = []
+    for law in (["--dsl", str(law_file)], ["--group", "ga_power(2)"]):
+        out = tmp_path / "report.json"
+        args = ["asai", *law, "--q", "2", "--m", "1", "--max-ext", "2", "--out", str(out)]
+        res = invoke(runner, args)
+        assert res.exit_code == 0, res.output
+        docs.append(json.loads(out.read_text()))
+    for key in ("classes", "norm_perm", "centralizer_witnesses"):
+        assert docs[0][key] == docs[1][key]
+    assert max(w["degree"] for w in docs[0]["centralizer_witnesses"]) == 2
+
+
 def test_reports_byte_identical_and_cache(runner, tmp_path):
     cache = tmp_path / "cache"
     outs = []

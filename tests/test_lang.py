@@ -17,7 +17,7 @@ def test_identity_witness_is_identity():
     tower = FieldTower(3)
     law = builtin("n2", 3)
     view = enumerate_group(law, tower, 3, 1)
-    w = lang_solve_triangular(law, tower, view.point(0), 3, 1)
+    w = lang_solve_triangular(law, tower, view.point(0))
     assert w.x.is_identity() and w.n_multiplier == 1
 
 
@@ -27,7 +27,7 @@ def test_ga1_q3_needs_f27():
     law = builtin("ga_power", 3, 1)
     view = enumerate_group(law, tower, 3, 1)
     one = view.point(1)
-    w = lang_solve_triangular(law, tower, one, 3, 1)
+    w = lang_solve_triangular(law, tower, one)
     assert w.n_multiplier == 3
     assert verify_witness(law, tower, w)
     # brute-force oracle over all of F_27 and the smaller levels
@@ -53,7 +53,7 @@ def test_ga1_q2_bruteforce_example():
     law = builtin("ga_power", 2, 1)
     view = enumerate_group(law, tower, 2, 1)
     one = view.point(1)
-    w = lang_solve_bruteforce(law, tower, one, 2, 1, n_cap=4)
+    w = lang_solve_bruteforce(law, tower, one, n_cap=4)
     assert w is not None and w.n_multiplier == 2
     assert verify_witness(law, tower, w)
 
@@ -63,7 +63,7 @@ def test_n2_coordinate_recipe():
     law = builtin("n2", 3)
     view = enumerate_group(law, tower, 3, 1)
     g = view.point(3)  # combined code 3 -> (1, 0)
-    w = lang_solve_triangular(law, tower, g, 3, 1)
+    w = lang_solve_triangular(law, tower, g)
     assert w.n_multiplier == 3  # both coordinates resolve inside F_27
     assert verify_witness(law, tower, w)
     # first coordinate satisfies s - s^3 = 1
@@ -78,20 +78,20 @@ def test_verify_witness_fiber_invariance_and_perturbation():
     view = enumerate_group(law, tower, 3, 1)
     ops = view.ops
     g = view.point(4)  # combined code 4 -> (1, 1)
-    w = lang_solve_triangular(law, tower, g, 3, 1)
+    w = lang_solve_triangular(law, tower, g)
     assert verify_witness(law, tower, w)
     lvl = w.x.field
     # right-multiplying by a rational element stays on the fiber
     for i in range(view.order):
         h = ops.embed(view.point(i), lvl)
-        w2 = LangWitness(g, ops.mul(w.x, h), w.n_multiplier, 3, 1)
+        w2 = LangWitness(g, ops.mul(w.x, h), w.n_multiplier)
         assert verify_witness(law, tower, w2)
     # perturbing off the fiber fails; a rational shift of one coordinate
     # stays on it, so bump by a non-rational element (the F_27 generator)
     gen = tower.element(lvl, (0, 1, 0))
     bumped = list(w.x.coords)
     bumped[0] = tower.add(bumped[0], gen)
-    w3 = LangWitness(g, Point(tuple(bumped)), w.n_multiplier, 3, 1)
+    w3 = LangWitness(g, Point(tuple(bumped)), w.n_multiplier)
     assert not verify_witness(law, tower, w3)
 
 
@@ -100,16 +100,14 @@ def test_verify_witness_rejects_wrong_level_and_raises_on_malformed():
     law = builtin("n2", 3)
     view = enumerate_group(law, tower, 3, 1)
     g = view.point(4)
-    w = lang_solve_triangular(law, tower, g, 3, 1)
+    w = lang_solve_triangular(law, tower, g)
     # x at F_9, which does not contain the F_27 solution: a wrong level
     f9 = tower.make_field(2)
     x9 = Point(tuple(tower.zero(f9) for _ in range(2)))
-    assert not verify_witness(law, tower, LangWitness(g, x9, 2, 3, 1))
-    # q that is not a power of the law's characteristic
-    assert not verify_witness(law, tower, LangWitness(g, w.x, w.n_multiplier, 4, 1))
+    assert not verify_witness(law, tower, LangWitness(g, x9, 2))
     # a witness with one coordinate for a two-dimensional law is a bug
     # in the caller, not a failed verification
-    short = LangWitness(g, Point(w.x.coords[:1]), w.n_multiplier, 3, 1)
+    short = LangWitness(g, Point(w.x.coords[:1]), w.n_multiplier)
     with pytest.raises(IndexError):
         verify_witness(law, tower, short)
 
@@ -148,8 +146,8 @@ def test_triangular_and_bruteforce_agree_up_to_rational_shift(family, p, param, 
     ops = view.ops
     for i in range(view.order):
         g = view.point(i)
-        wt = lang_solve_triangular(law, tower, g, q, 1)
-        wb = lang_solve_bruteforce(law, tower, g, q, 1, n_cap=9)
+        wt = lang_solve_triangular(law, tower, g)
+        wb = lang_solve_bruteforce(law, tower, g, n_cap=9)
         assert wb is not None
         lvl = tower.make_field(max(wt.x.field.degree, wb.x.field.degree))
         xt, xb = ops.embed(wt.x, lvl), ops.embed(wb.x, lvl)
@@ -164,7 +162,7 @@ def test_commutative_norm_output_equals_input():
     ops = view.ops
     for i in range(view.order):
         g = view.point(i)
-        w = lang_solve_triangular(law, tower, g, 2, 1)
+        w = lang_solve_triangular(law, tower, g)
         lvl = w.x.field
         img = ops.mul(ops.inv(ops.frobenius(w.x, 2, 1)), w.x)
         assert img == ops.embed(g, lvl)
@@ -180,7 +178,7 @@ def test_triangular_solver_respects_cap():
     law = builtin("ga_power", 3, 1)
     view = enumerate_group(law, tower, 3, 1)
     with pytest.raises(CapExceeded):
-        lang_solve_triangular(law, tower, view.point(1), 3, 1)
+        lang_solve_triangular(law, tower, view.point(1))
 
 
 def test_bruteforce_notfound_at_cap():
@@ -188,4 +186,4 @@ def test_bruteforce_notfound_at_cap():
     law = builtin("ga_power", 3, 1)
     view = enumerate_group(law, tower, 3, 1)
     # witness needs N = 3; a cap of 2 is inconclusive, reported as None
-    assert lang_solve_bruteforce(law, tower, view.point(1), 3, 1, n_cap=2) is None
+    assert lang_solve_bruteforce(law, tower, view.point(1), n_cap=2) is None

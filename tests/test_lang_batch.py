@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from asaitwist.asai import centralizer_witness, norm_map
 from asaitwist.cli import main
-from asaitwist.errors import CapExceeded
+from asaitwist.errors import CapExceeded, ParameterError
 from asaitwist.fields import FieldTower
 from asaitwist.grouplaw import Polynomial, all_tuples, canonical_text, parse_group_name
 from asaitwist.lang import (
@@ -51,13 +51,13 @@ def _check_batch_against_oracles(law, q, m):
     view = enumerate_group(law, tower, q, m)
     ops = view.ops
     g = all_tuples(tower, view.field, law.dim)
-    groups = lang_solve_batch(law, tower, g, q, m)
+    groups = lang_solve_batch(law, tower, g)
     rows = np.concatenate([rows for _, rows, _ in groups])
     assert sorted(rows.tolist()) == list(range(view.order))
     for fid, rows, xs in groups:
         for row, x in zip(rows, xs):
             point = digits_point(view.field, g[row])
-            one = lang_solve_triangular(law, tower, point, q, m)
+            one = lang_solve_triangular(law, tower, point)
             assert one.x.field == fid
             assert np.array_equal(x, np.array([c.coeffs for c in one.x.coords]))
             assert verify_witness(law, tower, one)
@@ -67,7 +67,7 @@ def _check_batch_against_oracles(law, q, m):
     brute_checked = 0
     for ci in range(len(table)):
         rep = table.rep_point(ci)
-        wb = lang_solve_bruteforce(law, tower, rep, q, m, max_order=BRUTE_MAX_ORDER)
+        wb = lang_solve_bruteforce(law, tower, rep, max_order=BRUTE_MAX_ORDER)
         if wb is not None:
             brute_checked += 1
             img = ops.mul(ops.inv(ops.frobenius(wb.x, q, m)), wb.x)
@@ -76,9 +76,9 @@ def _check_batch_against_oracles(law, q, m):
         w = centralizer_witness(result, ci)
         assert (w is not None) == (result.perm[ci] == ci)
         if w is not None:
-            ge = ops.embed(rep, w.z.field)
-            assert ops.mul(w.z, ge) == ops.mul(ge, w.z)
-            assert ops.mul(ops.inv(w.z), ops.frobenius(w.z, q, m)) == ge
+            ge = ops.embed(rep, w.field)
+            assert ops.mul(w, ge) == ops.mul(ge, w)
+            assert ops.mul(ops.inv(w), ops.frobenius(w, q, m)) == ge
     assert brute_checked >= 1  # at least the identity class
 
 
@@ -90,7 +90,15 @@ def test_batch_raises_cap_exceeded(group, p):
     g = all_tuples(tower, view.field, law.dim)
     # t^p - t = 1 has no root in F_p, so some row needs degree p
     with pytest.raises(CapExceeded):
-        lang_solve_batch(law, tower, g, p, 1)
+        lang_solve_batch(law, tower, g)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 1), (4, 2), (2, 4, 2, 1)])
+def test_batch_rejects_g_of_the_wrong_dimension_or_rank(shape):
+    """g is a (rows, dim, k) digit array; the level is read from k."""
+    law = parse_group_name("n2", 3)
+    with pytest.raises(ParameterError):
+        lang_solve_batch(law, FieldTower(3), np.zeros(shape, dtype=np.int64))
 
 
 def test_cli_cap_exceeded_from_batch_exits_4(tmp_path):
