@@ -17,8 +17,11 @@ classwise on every run.
 norm_map works in one batched pass over all class representatives, a
 chunk of rows at a time, on (rows, d, k) digit arrays: the Lang solve,
 the checks on the images, the class lookup of the images, and z with
-both of its checks for every fixed class.  centralizer_witness only
-reads the result: a class's witness is its point z.
+both of its checks for every fixed class.  y is the least such rational
+element, found for every fixed class of a chunk and level by one call
+of the coordinate-prefix filter FiniteGroupView.find_conjugators.
+centralizer_witness only reads the result: a class's witness is its
+point z.
 """
 
 from __future__ import annotations
@@ -116,18 +119,15 @@ def norm_map(view: FiniteGroupView, table: ClassTable) -> NormMapResult:
             # z = (x y)^{-1} for the fixed classes, y the least rational
             # element conjugating the image back to the representative
             fixed = np.nonzero(table.class_of[ords] == classes)[0]
+            images, reps = ords[fixed], table.reps[classes[fixed]]
+            search = images != reps
+            found = view.find_conjugators(view.codes[images[search]], view.codes[reps[search]])
+            for row in fixed[search][found < 0]:
+                errors[int(classes[row])] = (
+                    "class is fixed but no rational y conjugates the norm image back"
+                )
             y = np.zeros(len(fixed), dtype=np.int64)
-            for j, row in enumerate(fixed):
-                rep = int(table.reps[classes[row]])
-                if ords[row] == rep:
-                    continue
-                found = view.find_conjugator(view.codes[ords[row]], view.codes[rep])
-                if found is None:
-                    errors[int(classes[row])] = (
-                        "class is fixed but no rational y conjugates the norm image back"
-                    )
-                else:
-                    y[j] = found
+            y[search] = np.maximum(found, 0)  # a failed search keeps y = 1, its error recorded
             yd = tower.vembed(base, lvl, view._codes_to_digits(view.codes[y]))
             z = np.zeros_like(x)
             z[fixed] = zf = inv(mul(x[fixed], yd))

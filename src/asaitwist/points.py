@@ -20,7 +20,15 @@ generators t*e_i (t over an F_p-basis of F_{q^m}, deg its size), found
 by min-label propagation with pointer jumping: one conjugation pass per
 generator, not one per class.  The axis points generate G: the points
 with x_{<i} = 0 form a subgroup K_i, coordinate i is additive on K_i,
-and its kernel there is K_{i+1}.
+and its kernel there is K_{i+1}.  An axis that no cocycle involves
+(always axis d) is central, so its generators get no pass.
+
+Conjugator search and centralizers never conjugate by every h.  In
+(xy)_i = x_i + y_i + f_i(x_{<i}, y_{<i}) the h_i of g h = h t cancels,
+so coordinate i constrains only h_{<i}: a breadth-first filter over
+coordinate prefixes, taking every row of a batch at once and expanding
+at most min(_CHUNK, |G|) candidates at a time, finds every feasible
+h_{<d}, and h_d is free.
 """
 
 from __future__ import annotations
@@ -177,6 +185,11 @@ def _conj_codes(law: GroupLaw, tab: _CodeTables, h_inv, g, h) -> np.ndarray:
     return _eval_mul_codes(law, tab, h_inv, _eval_mul_codes(law, tab, g, h))
 
 
+def _coordinate_agrees(poly: Polynomial, tab: _CodeTables, g, h, t) -> np.ndarray:
+    """Rows where coordinate poly of g h equals that of h t."""
+    return _eval_poly_codes(poly, tab, g, h) == _eval_poly_codes(poly, tab, h, t)
+
+
 class FiniteGroupView:
     """G(F_{q^m}) with canonical element order and vectorized kernels."""
 
@@ -257,16 +270,13 @@ class FiniteGroupView:
 
     # ---- whole-group conjugation kernels ----
 
-    def _conjugates(self, g_codes: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Combined codes of h^{-1} g h for the ordinals h in [lo, hi)."""
-        if self.commutative:
-            return np.full(hi - lo, int(self.combine(g_codes)), dtype=np.int64)
-        h_inv, h = self.inv_codes[lo:hi], self.codes[lo:hi]
-        return self.combine(_conj_codes(self.law, self.tables, h_inv, g_codes[None, :], h))
-
     def conjugates_combined(self, g_codes: np.ndarray) -> np.ndarray:
         """Combined codes of h^{-1} g h over all h, in ordinal order."""
-        return self._conjugates(g_codes, 0, self.order)
+        if self.commutative:
+            return np.full(self.order, int(self.combine(g_codes)), dtype=np.int64)
+        return self.combine(
+            _conj_codes(self.law, self.tables, self.inv_codes, g_codes[None, :], self.codes)
+        )
 
     def conjugation_by(self, s_codes: np.ndarray) -> np.ndarray:
         """Combined codes of s^{-1} g s over all g, in ordinal order.
@@ -287,18 +297,60 @@ class FiniteGroupView:
             gens[i, :, i] = basis
         return gens.reshape(dim * deg, dim)
 
+    # ---- conjugator search by prefix filtering ----
+
+    def _feasible_prefixes(
+        self, g_rows: np.ndarray, t_rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The prefixes h_{<d} with g h = h t, for every row pair at once.
+
+        Returns (seg, prefix): prefix[k] is the combined code of
+        h_1..h_{d-1} and seg[k] the row it solves, sorted by (seg,
+        prefix).  Coordinate i of g h = h t involves only h_{<i}, so the
+        first coordinates must agree outright, each level extends every
+        surviving prefix by all q^m values of the next coordinate in
+        order and keeps those that satisfy the coordinate after it, and
+        h_d is free.  Blocks of at most min(_CHUNK, |G|) candidates
+        bound the temporaries.  Noncommutative views only.
+        """
+        law, big_q = self.law, self.level_order
+        seg = np.nonzero(g_rows[:, 0] == t_rows[:, 0])[0]
+        prefix = np.zeros(seg.size, dtype=np.int64)
+        # no block holds more candidates than a whole-group pass has rows
+        step = max(1, min(_CHUNK, self.order) // big_q)
+        values = np.arange(big_q, dtype=np.int64)
+        for i in range(1, law.dim):
+            if not seg.size:
+                break
+            # ordinal of (h_1..h_i, 0, ..., 0) is the prefix code times stride
+            stride = big_q ** (law.dim - i)
+            kept_seg, kept_prefix = [], []
+            for lo in range(0, seg.size, step):
+                s = np.repeat(seg[lo : lo + step], big_q)
+                cand = (prefix[lo : lo + step, None] * big_q + values).ravel()
+                ok = _coordinate_agrees(
+                    law.mul[i], self.tables, g_rows[s], self.codes[cand * stride], t_rows[s]
+                )
+                kept_seg.append(s[ok])
+                kept_prefix.append(cand[ok])
+            seg, prefix = np.concatenate(kept_seg), np.concatenate(kept_prefix)
+        return seg, prefix
+
+    def find_conjugators(self, g_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
+        """Least ordinal h with h^{-1} g h = t per row of codes, -1 where
+        there is none: the first feasible prefix, with h_d = 0."""
+        if self.commutative:
+            return np.where(np.all(g_rows == t_rows, axis=-1), 0, -1).astype(np.int64)
+        seg, prefix = self._feasible_prefixes(g_rows, t_rows)
+        found = np.full(len(g_rows), -1, dtype=np.int64)
+        rows, first = np.unique(seg, return_index=True)
+        found[rows] = prefix[first] * self.level_order
+        return found
+
     def find_conjugator(self, g_codes: np.ndarray, target_codes: np.ndarray) -> int | None:
-        """Least ordinal h with h^{-1} g h = target, scanning in chunks."""
-        target = int(self.combine(target_codes))
-        if int(self.combine(g_codes)) == target:
-            return 0
-        for lo in range(0, self.order, _CHUNK):
-            hits = np.nonzero(
-                self._conjugates(g_codes, lo, min(lo + _CHUNK, self.order)) == target
-            )[0]
-            if hits.size:
-                return lo + int(hits[0])
-        return None
+        """Least ordinal h with h^{-1} g h = target, or None."""
+        found = int(self.find_conjugators(g_codes[None, :], target_codes[None, :])[0])
+        return None if found < 0 else found
 
 
 def enumerate_group(
@@ -350,7 +402,9 @@ def conjugacy_classes(view: FiniteGroupView) -> ClassTable:
         reps = np.arange(n, dtype=np.int64)
         members = [np.array([i], dtype=np.int64) for i in range(n)]
         return ClassTable(view, reps, members, reps.copy())
-    perms = [view.conjugation_by(s) for s in view.axis_generators()]
+    # conjugation by a central axis point is the identity: skip its passes
+    central = np.repeat(_central_axes(view.law), view.field.degree)
+    perms = [view.conjugation_by(s) for s in view.axis_generators()[~central]]
     # label[g] stays a member of g's class and never grows, so an
     # unchanged sum means an unchanged array; at the fixpoint each label
     # is the least member of its class
@@ -368,6 +422,13 @@ def conjugacy_classes(view: FiniteGroupView) -> ClassTable:
     return ClassTable(view, reps, class_members(class_of, counts), class_of)
 
 
+def _central_axes(law: GroupLaw) -> np.ndarray:
+    """Axes i that no cocycle f_j involves; every t*e_i is then central,
+    since f_j(t*e_i, g) = f_j(0, g) = 0 and likewise on the right."""
+    used = set().union(*(poly.coordinate_indices() - {j} for j, poly in enumerate(law.mul)))
+    return np.array([i not in used for i in range(law.dim)])
+
+
 def _commutative_as_polynomials(law: GroupLaw) -> bool:
     """True when every mul coordinate is symmetric under x <-> y."""
     d = law.dim
@@ -383,9 +444,16 @@ def _commutative_as_polynomials(law: GroupLaw) -> bool:
 
 
 def centralizer(view: FiniteGroupView, g: Point) -> np.ndarray:
-    """Ordinals of all h with hg = gh; a subgroup containing g."""
-    i = view.index_of(g)
-    return np.nonzero(view._conjugates(view.codes[i], 0, view.order) == i)[0]
+    """Ordinals of all h with hg = gh, ascending; a subgroup containing g.
+
+    Z(g) is the feasible prefixes h_{<d} times every value of h_d.
+    """
+    codes = view.codes[view.index_of(g)][None, :]  # index_of checks the level
+    if view.commutative:
+        return np.arange(view.order, dtype=np.int64)
+    _, prefix = view._feasible_prefixes(codes, codes)
+    big_q = view.level_order
+    return (prefix[:, None] * big_q + np.arange(big_q, dtype=np.int64)).ravel()
 
 
 @dataclass

@@ -17,7 +17,8 @@ from asaitwist.asai import (
 )
 from asaitwist.errors import ParameterError
 from asaitwist.fields import FieldTower
-from asaitwist.grouplaw import builtin
+from asaitwist import points as points_module
+from asaitwist.grouplaw import builtin, parse_group_name
 from asaitwist.lang import lang_solve_bruteforce, lang_solve_triangular
 from asaitwist.points import conjugacy_classes, enumerate_group
 
@@ -272,3 +273,25 @@ def test_centralizer_witness_moved_class_is_none(n2_result):
     law, tower, view, table, res = n2_result
     ci = int(table.class_of[view.index_of(view.point(3))])  # (1, 0) moves
     assert centralizer_witness(res, ci) is None
+
+
+@pytest.mark.parametrize(
+    "group,p,q,m", [("ul(4)", 2, 2, 2), ("ul(3)", 3, 3, 2), ("ul(3)", 2, 2, 4)]
+)
+def test_witness_search_work_is_linear_in_the_group(monkeypatch, group, p, q, m):
+    """The conjugator searches of norm_map hand at most 16|G| candidate
+    prefixes to the per-coordinate filter in all, where one whole-group
+    scan per search costs |G| each (66 searches on ul(4) q=2 m=2)."""
+    candidates = []
+    agrees = points_module._coordinate_agrees
+
+    def counting(poly, tab, g, h, t):
+        candidates.append(len(h))
+        return agrees(poly, tab, g, h, t)
+
+    view = enumerate_group(parse_group_name(group, p), FieldTower(p), q, m)
+    table = conjugacy_classes(view)
+    monkeypatch.setattr(points_module, "_coordinate_agrees", counting)
+    result = norm_map(view, table)
+    assert not result.witness_errors
+    assert 0 < sum(candidates) <= 16 * view.order

@@ -590,7 +590,9 @@ def test_cache_ignores_malformed_documents(runner, tmp_path, corrupt, message):
 def test_failed_witness_search_exits_5(runner, tmp_path, monkeypatch):
     """A fixed class whose conjugator search finds nothing is a bug: asai
     writes no report, easy-check reports the disagreement, both exit 5."""
-    monkeypatch.setattr(FiniteGroupView, "find_conjugator", lambda self, g, h: None)
+    monkeypatch.setattr(
+        FiniteGroupView, "find_conjugators", lambda self, g, t: np.full(len(g), -1)
+    )
     out = tmp_path / "asai.json"
     res = invoke(runner, ["asai", "--group", "ul(3)", "--q", "2", "--m", "2", "--out", str(out)])
     assert res.exit_code == 5

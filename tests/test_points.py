@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from asaitwist.errors import CapExceeded, ParameterError
 from asaitwist.fields import FieldTower
 from asaitwist import points as points_module
-from asaitwist.grouplaw import all_tuples, builtin, eval_mul, parse_group_name
+from asaitwist.grouplaw import (
+    all_tuples,
+    builtin,
+    eval_mul,
+    parse_group_dsl,
+    parse_group_name,
+)
 from asaitwist.points import (
     FiniteGroupView,
     centralizer,
@@ -14,6 +20,14 @@ from asaitwist.points import (
     enumerate_group,
 )
 from random_laws import BUILTINS, random_dsl_law
+
+# axis 3 is central although axis 4 follows it: no cocycle involves x3
+MID_CENTRAL = """group mid_central dim 4 char {p}
+mul[1] = x1 + y1
+mul[2] = x2 + y2
+mul[3] = x3 + y3 + x1 * y2
+mul[4] = x4 + y4 + x1 * y1
+"""
 
 
 def seed_orbit_classes(view):
@@ -29,6 +43,33 @@ def seed_orbit_classes(view):
         reps.append(seed)
         members.append(orbit)
     return np.array(reps, dtype=np.int64), members, class_of
+
+
+def scan_conjugators(view, g):
+    """Oracle: one whole-group conjugation pass gives the least h with
+    h^{-1} g h = t for every t (-1 where there is none) and Z(g)."""
+    conj = view.conjugates_combined(view.codes[g])
+    least = np.full(view.order, -1, dtype=np.int64)
+    targets, first = np.unique(conj, return_index=True)
+    least[targets] = first
+    return least, np.nonzero(conj == g)[0]
+
+
+def assert_search_matches_scan(view):
+    """find_conjugators on every (g, t) pair in one batch, centralizer on
+    every g, and find_conjugator on g's last conjugate and on the
+    identity, all against the scan."""
+    n = view.order
+    g, t = np.divmod(np.arange(n * n), n)
+    found = view.find_conjugators(view.codes[g], view.codes[t]).reshape(n, n)
+    for gi in range(n):
+        least, cent = scan_conjugators(view, gi)
+        assert found[gi].tolist() == least.tolist()
+        assert centralizer(view, view.point(gi)).tolist() == cent.tolist()
+        last = int(np.nonzero(least >= 0)[0][-1])
+        for ti in (last, 0):
+            expected = int(least[ti]) if least[ti] >= 0 else None
+            assert view.find_conjugator(view.codes[gi], view.codes[ti]) == expected
 
 
 def assert_classes_match_oracle(view):
@@ -273,9 +314,10 @@ def test_centralizer_wrong_level(n2_f3):
 
 
 def test_conjugation_kernels_match_scalar_oracle():
-    """The lookup-table kernel on ul(3) and n2, and the commutative kernel
-    on ga_power(2), against scalar LawOps brute force over every point:
-    conjugates, least conjugators, centralizers, class members, and
+    """The lookup-table kernel and the prefix filter on ul(3) and n2, and
+    the commutative kernel on ga_power(2), against scalar LawOps brute
+    force over every point: conjugates, least conjugators (one by one and
+    batched against the scan), centralizers, class members, and
     centralizer counts one level up."""
     for family, p, param in (("ul", 2, 3), ("n2", 3, None), ("ga_power", 2, 2)):
         tower = FieldTower(p)
@@ -287,9 +329,12 @@ def test_conjugation_kernels_match_scalar_oracle():
         n = view.order
         mul = [[view.index_of(ops.mul(a, b)) for b in pts] for a in pts]
         inv = [view.index_of(ops.inv(a)) for a in pts]
+        g_all, t_all = np.divmod(np.arange(n * n), n)
+        found = view.find_conjugators(view.codes[g_all], view.codes[t_all]).reshape(n, n)
         for g in range(n):
             conj = [mul[inv[h]][mul[g][h]] for h in range(n)]
             assert view.conjugates_combined(view.codes[g]).tolist() == conj
+            assert found[g].tolist() == scan_conjugators(view, g)[0].tolist()
             assert set(conj) == set(table.members[table.class_of[g]].tolist())
             for t in range(n):
                 least = conj.index(t) if t in conj else None
@@ -334,9 +379,27 @@ def test_axis_generators_generate_and_orbits_are_classes(case):
     assert_classes_match_oracle(view)
 
 
+@settings(max_examples=25, deadline=None)
+@given(random_dsl_law(groups=BUILTINS + ["ga_power(4)"], primes=(2, 3, 5)))
+def test_prefix_filter_matches_scan_on_random_laws(case):
+    law, q, m = case
+    assert_search_matches_scan(enumerate_group(law, FieldTower(law.p), q, m))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (5, 1)])
+def test_mid_central_law_matches_oracles(p, m):
+    """A central axis followed by a noncentral one: the class pass skips
+    axes 3 and 4, and the prefix filter still checks coordinate 4."""
+    law = parse_group_dsl(MID_CENTRAL.format(p=p))
+    view = enumerate_group(law, FieldTower(p), p, m)
+    assert points_module._central_axes(law).tolist() == [False, False, True, True]
+    assert_classes_match_oracle(view)
+    assert_search_matches_scan(view)
+
+
 def test_class_pass_makes_one_conjugation_pass_per_generator(monkeypatch):
-    """d*deg generator passes per noncommutative level, whatever the class
-    count, and no per-class pass."""
+    """(d - #central axes)*deg generator passes per noncommutative level,
+    whatever the class count, and no per-class pass."""
     calls = {"by": 0, "combined": 0}
     by, combined = FiniteGroupView.conjugation_by, FiniteGroupView.conjugates_combined
 
@@ -351,10 +414,14 @@ def test_class_pass_makes_one_conjugation_pass_per_generator(monkeypatch):
     monkeypatch.setattr(FiniteGroupView, "conjugation_by", counted_by)
     monkeypatch.setattr(FiniteGroupView, "conjugates_combined", counted_combined)
     tower = FieldTower(2)
-    for group, m, n_classes in (("ul(3)", 1, 5), ("ul(3)", 3, 71), ("ul(4)", 2, 136)):
-        law = parse_group_name(group, 2)
+    for law, m, n_classes, central in (
+        (parse_group_name("ul(3)", 2), 1, 5, 1),
+        (parse_group_name("ul(3)", 2), 3, 71, 1),
+        (parse_group_name("ul(4)", 2), 2, 136, 1),
+        (parse_group_dsl(MID_CENTRAL.format(p=2)), 2, 76, 2),
+    ):
         view = enumerate_group(law, tower, 2, m)
-        calls["by"] = 0
+        calls["by"] = calls["combined"] = 0
         assert len(conjugacy_classes(view)) == n_classes
-        assert calls["by"] == law.dim * m
-    assert calls["combined"] == 0
+        assert calls["by"] == (law.dim - central) * m
+        assert calls["combined"] == 0
