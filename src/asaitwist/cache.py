@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import FieldTower
 from .grouplaw import GroupLaw, canonical_text
-from .points import DEFAULT_MAX_ORDER, ClassTable, class_members, enumerate_group
+from .points import DEFAULT_MAX_ORDER, ClassTable, enumerate_group
 
 SCHEMA_VERSION = 1
 
@@ -120,11 +120,11 @@ def load_class_table(
         return None
     class_of = class_of.astype(np.int64, copy=False)
     # classes are numbered in order of their least member
-    labels, reps, counts = np.unique(class_of, return_index=True, return_counts=True)
+    labels, reps = np.unique(class_of, return_index=True)
     if labels[0] < 0 or np.any(np.diff(reps) <= 0):
         _warn(f"cache {path.name}: malformed class map, ignoring")
         return None
     if labels[-1] != labels.size - 1:
         _warn(f"cache {path.name}: empty class, ignoring")
         return None
-    return ClassTable(view, reps, class_members(class_of, counts), class_of)
+    return ClassTable.from_class_of(view, class_of)

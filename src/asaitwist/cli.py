@@ -4,7 +4,9 @@ Subcommands: validate | classes | asai | easy-check | run.  Reports are
 single JSON documents rendered with sorted keys, so two runs with the
 same configuration produce byte-identical files; wall-clock timing and
 cache hit/miss chatter go to stderr only.  The report's "timings" block
-holds deterministic work counters for the same reason.
+holds deterministic work counters for the same reason.  `_emit` writes
+the bytes of json.dumps(sort_keys=True, indent=2), with the class and
+witness lists rendered straight from arrays.
 
 A job is one `RunConfig`: a direct command and each job of a `run` batch
 go through the same `_job`, which checks the options once, runs the
@@ -26,9 +28,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
-from .asai import centralizer_witness, is_asai_trivial, moved_classes, norm_map
+from .asai import is_asai_trivial, moved_classes, norm_map
+
+# the CLI reads witnesses from norm_map's arrays; centralizer_witness stays
+# bound here because perfbench/tracer.py wraps it at this import site
+from .asai import centralizer_witness  # noqa: F401
 from .cache import SCHEMA_VERSION, class_table_path, load_class_table, save_class_table
 from .easiness import easiness_crosscheck
 from .errors import (
@@ -42,7 +49,7 @@ from .errors import (
 from .fields import DEFAULT_DEGREE_CAP, FieldTower, characteristic
 from .grouplaw import canonical_text, parse_group_dsl, parse_group_name, validate_law
 from .lang import default_degree_cap
-from .points import DEFAULT_MAX_ORDER, Point, conjugacy_classes, enumerate_group
+from .points import DEFAULT_MAX_ORDER, conjugacy_classes, enumerate_group, point_digits
 
 
 @dataclass
@@ -106,12 +113,53 @@ def _resolve_law(cfg: RunConfig, check_axioms: bool = False):
     return law, tower
 
 
-def _serialize_point(pt: Point) -> list[list[int]]:
-    return [list(c.coeffs) for c in pt.coords]
+_SLOT = "%d"  # an int leaf of a row shape, filled from the row's values
+
+
+@dataclass
+class _Rows:
+    """A report list rendered from int arrays, one %-template per shape.
+
+    Item i has the shape shapes[kind[i]][0], a JSON value whose _SLOT
+    leaves take, in rendering order, the values of the next row of
+    shapes[kind[i]][1]; so the rows of a shape are its items in order.
+    """
+
+    kind: np.ndarray
+    shapes: list[tuple[object, np.ndarray]]
+
+
+def _block(opening: str, items: list[str], closing: str, level: int) -> str:
+    if not items:
+        return opening + closing
+    inner = "\n" + "  " * (level + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * level + closing
+
+
+def _render(value, level: int = 0) -> str:
+    """The bytes of json.dumps(value, sort_keys=True, indent=2) for a
+    value nested `level` deep, with _Rows rendered as the lists they stand for."""
+    if isinstance(value, _Rows):
+        items = np.empty(len(value.kind), dtype=object)
+        for s, (shape, rows) in enumerate(value.shapes):
+            template = _render(shape, level + 1).replace("%", "%%").replace('"%%d"', "%d")
+            items[value.kind == s] = [template % tuple(row) for row in rows.tolist()]
+        return _block("[", items.tolist(), "]", level)
+    if type(value) is dict and all(type(k) is str for k in value):
+        items = [f"{json.dumps(k)}: {_render(value[k], level + 1)}" for k in sorted(value)]
+        return _block("{", items, "}", level)
+    if type(value) is list:
+        types = set(map(type, value))
+        if types == {int}:
+            return _block("[", list(map(str, value)), "]", level)
+        if types == {bool}:
+            return _block("[", ["true" if v else "false" for v in value], "]", level)
+        return _block("[", [_render(v, level + 1) for v in value], "]", level)
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
 
 
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _render(report) + "\n"
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(text, encoding="utf-8")
@@ -120,11 +168,29 @@ def _emit(report: dict, out: str | None):
         click.echo(text, nl=False)
 
 
-def _classes_block(table) -> list[dict]:
-    return [
-        {"rep": _serialize_point(table.rep_point(ci)), "size": size}
-        for ci, size in enumerate(table.sizes)
-    ]
+def _classes_block(table) -> _Rows:
+    """classes[{rep, size}], from one digit conversion of the representatives."""
+    view = table.view
+    reps = view._codes_to_digits(view.codes[table.reps])
+    n, d, k = reps.shape
+    rows = np.concatenate([reps.reshape(n, d * k), np.diff(table.offsets)[:, None]], axis=1)
+    shape = {"rep": [[_SLOT] * k] * d, "size": _SLOT}
+    return _Rows(np.zeros(n, dtype=np.int64), [(shape, rows)])
+
+
+def _witnesses_block(result) -> _Rows:
+    """centralizer_witnesses[{found, degree?, z?}], read from norm_map's
+    witness levels: shape 0 is a moved class, shape 1 + i level i."""
+    n = len(result.perm)
+    fixed = np.asarray(result.perm) == np.arange(n)
+    kind = np.where(fixed, result.where[:, 0] + 1, 0)
+    shapes = [({"found": False}, np.empty((n - int(fixed.sum()), 0), dtype=np.int64))]
+    for i, (lvl, z) in enumerate(result.levels):
+        rows = z[result.where[kind == i + 1, 1]]
+        c, d, k = rows.shape
+        shape = {"degree": lvl.degree, "found": True, "z": [[_SLOT] * k] * d}
+        shapes.append((shape, rows.reshape(c, d * k)))
+    return _Rows(kind, shapes)
 
 
 def _header(law, cfg: RunConfig) -> dict:
@@ -200,22 +266,15 @@ def _asai_body(cfg: RunConfig) -> None:
     max_degree = cfg.max_ext or default_degree_cap(law, cfg.q, cfg.m)  # reported only
     table = _load_or_compute_table(law, tower, cfg)
     result = norm_map(table.view, table)
-    witnesses = [centralizer_witness(result, ci) for ci in range(len(table))]
+    if result.witness_errors:
+        # what centralizer_witness raises for the first failing class
+        raise InternalInconsistencyError(result.witness_errors[min(result.witness_errors)])
     sizes = table.sizes
     report = {
         **_header(law, cfg),
         "m": cfg.m,
         **_level_block(result),
-        "centralizer_witnesses": [
-            {"found": False}
-            if w is None
-            else {
-                "found": True,
-                "degree": w.field.degree,
-                "z": _serialize_point(w),
-            }
-            for w in witnesses
-        ],
+        "centralizer_witnesses": _witnesses_block(result),
         "verdict": {
             "trivial": is_asai_trivial(result),
             "moved_classes": moved_classes(result),
@@ -263,7 +322,7 @@ def _easy_check_body(cfg: RunConfig) -> None:
         "label_status": rep.label_status,
         "verdict": {
             "kind": verdict.kind,
-            "witness": None if verdict.witness is None else _serialize_point(verdict.witness),
+            "witness": None if verdict.witness is None else point_digits(verdict.witness).tolist(),
             "witness_m": verdict.witness_m,
             "up_to_m": verdict.up_to_m,
             "evidence": [[m, triv] for m, triv in verdict.evidence],

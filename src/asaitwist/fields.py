@@ -644,27 +644,12 @@ class FieldTower:
         out[:: self.p] = self.vfrob(fid, u, 1)
         return self._pp_mod(fid, out, h)
 
-    # ---- Frobenius, trace, Artin-Schreier ----
+    # ---- Frobenius, Artin-Schreier ----
 
     def frobenius(self, x: FieldElement, q: int) -> FieldElement:
         """x^q for q a power of the tower characteristic."""
         n = p_power_exponent(q, self.p)
         return self._el(x.field, self.vfrob(x.field, self._dig(x), n))
-
-    def trace_to(self, x: FieldElement, sub: FieldId) -> FieldElement:
-        """Relative trace sum of x^{(p^sub.degree)^i} down to the subfield."""
-        if x.field.degree % sub.degree:
-            raise IncompatibleFields(
-                f"{sub.degree} does not divide {x.field.degree}"
-            )
-        r = x.field.degree // sub.degree
-        dig = self._dig(x)
-        acc = np.zeros_like(dig)
-        cur = dig
-        for _ in range(r):
-            acc = (acc + cur) % self.p
-            cur = self.vfrob(x.field, cur, sub.degree)
-        return self.section(self._el(x.field, acc), sub)
 
     def artin_schreier_solve(self, c: FieldElement, e: int) -> FieldElement:
         """Code-least t with t^{p^e} - t = c: one row of vartin_schreier_solve."""

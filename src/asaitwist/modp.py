@@ -57,19 +57,6 @@ def rref_mod(mat: np.ndarray, p: int):
     return m, t, pivots
 
 
-def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of a @ x = b over F_p (free variables zero), or None."""
-    r, t, pivots = rref_mod(a, p)
-    tb = (t @ (np.asarray(b, dtype=np.int64) % p)) % p
-    rank = len(pivots)
-    if np.any(tb[rank:]):
-        return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for j, c in enumerate(pivots):
-        x[c] = tb[j]
-    return x
-
-
 def kernel_rref(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of ker(a) over F_p, returned in reduced row echelon form.
 

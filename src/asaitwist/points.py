@@ -109,14 +109,6 @@ class LawOps:
     def section(self, a: Point, target: FieldId) -> Point:
         return Point(tuple(self.tower.section(c, target) for c in a.coords))
 
-    def element_order(self, a: Point) -> int:
-        n = 1
-        cur = a
-        while not cur.is_identity():
-            cur = self.mul(cur, a)
-            n += 1
-        return n
-
 
 class _CodeTables:
     """Add/mul lookup tables over element codes of one small field level."""
@@ -366,42 +358,48 @@ def enumerate_group(
 
 @dataclass
 class ClassTable:
-    """Conjugacy classes of a FiniteGroupView.
+    """Conjugacy classes of a FiniteGroupView, stored as CSR.
 
     Classes are ordered by their least member; each representative is
-    the canonically least member of its class.
+    the canonically least member of its class.  order lists the ordinals
+    grouped by class, ascending within each, and class ci is
+    order[offsets[ci]:offsets[ci + 1]].
     """
 
     view: FiniteGroupView
     reps: np.ndarray  # ordinals of representatives, one per class
-    members: list[np.ndarray]  # sorted ordinals per class
     class_of: np.ndarray  # ordinal -> class index
+    order: np.ndarray  # ordinals grouped by class
+    offsets: np.ndarray  # start of each class in order, then len(order)
 
-    def __post_init__(self):
-        self._sizes = [int(m.size) for m in self.members]
+    @classmethod
+    def from_class_of(cls, view: FiniteGroupView, class_of: np.ndarray) -> ClassTable:
+        """The table of a class map numbering classes 0.. by least member;
+        one stable sort groups the ordinals."""
+        order = np.argsort(class_of, kind="stable")
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(class_of))])
+        return cls(view, order[offsets[:-1]], class_of, order, offsets)
+
+    @property
+    def members(self) -> list[np.ndarray]:
+        """Sorted ordinals per class, as slices of order."""
+        return np.split(self.order, self.offsets[1:-1])
 
     @property
     def sizes(self) -> list[int]:
-        return list(self._sizes)
+        return np.diff(self.offsets).tolist()
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.reps)
 
     def rep_point(self, ci: int) -> Point:
         return self.view.point(int(self.reps[ci]))
 
 
-def class_members(class_of: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """Ordinals of each class, ascending; one stable sort groups them."""
-    return np.split(np.argsort(class_of, kind="stable"), np.cumsum(counts)[:-1])
-
-
 def conjugacy_classes(view: FiniteGroupView) -> ClassTable:
     n = view.order
     if view.commutative:
-        reps = np.arange(n, dtype=np.int64)
-        members = [np.array([i], dtype=np.int64) for i in range(n)]
-        return ClassTable(view, reps, members, reps.copy())
+        return ClassTable.from_class_of(view, np.arange(n, dtype=np.int64))
     # conjugation by a central axis point is the identity: skip its passes
     central = np.repeat(_central_axes(view.law), view.field.degree)
     perms = [view.conjugation_by(s) for s in view.axis_generators()[~central]]
@@ -418,8 +416,7 @@ def conjugacy_classes(view: FiniteGroupView) -> ClassTable:
             label = jumped
         if int(label.sum()) == before:
             break
-    reps, class_of, counts = np.unique(label, return_inverse=True, return_counts=True)
-    return ClassTable(view, reps, class_members(class_of, counts), class_of)
+    return ClassTable.from_class_of(view, np.unique(label, return_inverse=True)[1])
 
 
 def _central_axes(law: GroupLaw) -> np.ndarray:

@@ -597,8 +597,27 @@ def test_failed_witness_search_exits_5(runner, tmp_path, monkeypatch):
     res = invoke(runner, ["asai", "--group", "ul(3)", "--q", "2", "--m", "2", "--out", str(out)])
     assert res.exit_code == 5
     errors = [line for line in res.stderr.splitlines() if not line.startswith("elapsed ")]
-    assert len(errors) == 1 and errors[0].startswith("internal inconsistency: ")
+    assert errors == [
+        "internal inconsistency: "
+        "class is fixed but no rational y conjugates the norm image back"
+    ]
     assert not out.exists()
+
+    # the first row of each search gets y = 1, which fails the witness
+    # checks, and the rest fail the search: asai names the error of the
+    # lowest failing class, not the first one recorded
+    monkeypatch.setattr(
+        FiniteGroupView, "find_conjugators",
+        lambda self, g, t: np.where(np.arange(len(g)) == 0, 0, -1),
+    )
+    res = invoke(runner, ["asai", "--group", "ul(3)", "--q", "2", "--m", "2", "--out", str(out)])
+    assert res.exit_code == 5
+    errors = [line for line in res.stderr.splitlines() if not line.startswith("elapsed ")]
+    assert errors == ["internal inconsistency: centralizer witness failed its checks"]
+    assert not out.exists()
+    monkeypatch.setattr(
+        FiniteGroupView, "find_conjugators", lambda self, g, t: np.full(len(g), -1)
+    )
 
     out = tmp_path / "easy.json"
     res = invoke(runner, ["easy-check", "--group", "ul(3)", "--q", "2", "--max-m", "2",

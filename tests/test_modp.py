@@ -2,13 +2,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asaitwist.modp import (
-    coset_min,
-    kernel_rref,
-    matpow_mod,
-    rref_mod,
-    solve_mod,
-)
+from asaitwist.modp import coset_min, kernel_rref, matpow_mod, rref_mod
+
+
+def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """Oracle: one solution of a @ x = b over F_p (free variables zero), or None."""
+    r, t, pivots = rref_mod(a, p)
+    tb = (t @ (np.asarray(b, dtype=np.int64) % p)) % p
+    rank = len(pivots)
+    if np.any(tb[rank:]):
+        return None
+    x = np.zeros(a.shape[1], dtype=np.int64)
+    for j, c in enumerate(pivots):
+        x[c] = tb[j]
+    return x
 
 
 @st.composite

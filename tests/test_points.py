@@ -1,7 +1,10 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from asaitwist.cache import class_table_path, load_class_table, save_class_table
 from asaitwist.errors import CapExceeded, ParameterError
 from asaitwist.fields import FieldTower
 from asaitwist import points as points_module
@@ -78,6 +81,26 @@ def assert_classes_match_oracle(view):
     assert table.reps.tolist() == reps.tolist()
     assert [m.tolist() for m in table.members] == [m.tolist() for m in members]
     assert table.class_of.tolist() == class_of.tolist()
+
+
+def assert_csr_matches_oracle(table):
+    """reps, class_of, sizes and members against per-class arrays built
+    with np.argsort/np.split from the seed-orbit oracle's class map, for
+    the table itself and for it written to a cold cache and loaded warm."""
+    view = table.view
+    _, _, class_of = seed_orbit_classes(view)
+    sizes = np.bincount(class_of)
+    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes)[:-1])
+    with tempfile.TemporaryDirectory() as cache_dir:
+        path = class_table_path(cache_dir, view.law, view.q, view.m)
+        save_class_table(path, table)
+        loaded = load_class_table(path, view.law, view.tower, view.q, view.m)
+    for t in (table, loaded):
+        assert t.reps.tolist() == [int(m[0]) for m in members]
+        assert t.class_of.tolist() == class_of.tolist()
+        assert t.sizes == sizes.tolist()
+        assert [m.tolist() for m in t.members] == [m.tolist() for m in members]
+        assert len(t) == len(members)
 
 
 def axis_closure_size(view) -> int:
@@ -395,6 +418,33 @@ def test_mid_central_law_matches_oracles(p, m):
     assert points_module._central_axes(law).tolist() == [False, False, True, True]
     assert_classes_match_oracle(view)
     assert_search_matches_scan(view)
+
+
+@pytest.mark.parametrize(
+    "group,q,m",
+    [("ga_power(2)", 3, 1), ("ga_power(3)", 2, 2), ("n2", 3, 2), ("ul(3)", 2, 2), ("ul(4)", 2, 1)],
+)
+def test_csr_table_matches_per_class_oracle(group, q, m):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    view = enumerate_group(parse_group_name(group, p), FieldTower(p), q, m)
+    assert_csr_matches_oracle(conjugacy_classes(view))
+
+
+@settings(max_examples=10, deadline=None)
+@given(random_dsl_law(groups=BUILTINS, primes=(2, 3)))
+def test_csr_table_matches_per_class_oracle_on_random_laws(case):
+    law, q, m = case
+    assert_csr_matches_oracle(conjugacy_classes(enumerate_group(law, FieldTower(law.p), q, m)))
+
+
+def test_commutative_table_holds_no_per_class_arrays():
+    view = enumerate_group(parse_group_name("ga_power(2)", 2), FieldTower(2), 2, 3)
+    table = conjugacy_classes(view)
+    assert set(vars(table)) == {"view", "reps", "class_of", "order", "offsets"}
+    n = view.order
+    assert table.order.tolist() == list(range(n))
+    assert table.offsets.tolist() == list(range(n + 1))
+    assert table.reps.shape == table.class_of.shape == (n,)
 
 
 def test_class_pass_makes_one_conjugation_pass_per_generator(monkeypatch):
