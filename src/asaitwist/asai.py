@@ -51,14 +51,17 @@ class NormMapResult:
 
     perm[c] is the class index of the norm image of class c's
     representative and image_ordinals[c] the ordinal of that image at
-    level q^m.  levels holds (field, z) per witness level: a fixed class
-    c has its centralizer witness z[where[c, 1]] in levels[where[c, 0]].
-    witness_errors maps each fixed class whose witness failed its checks
-    to the failure; it is empty on a sound run.
+    level q^m.  fixed is the bool mask perm == arange(n), the one record
+    of which classes the norm map fixes.  levels holds (field, z) per
+    witness level: a fixed class c has its centralizer witness
+    z[where[c, 1]] in levels[where[c, 0]].  witness_errors maps each
+    fixed class whose witness failed its checks to the failure; it is
+    empty on a sound run.
     """
 
     table: ClassTable
     perm: tuple[int, ...]
+    fixed: np.ndarray
     image_ordinals: np.ndarray
     levels: list[tuple[FieldId, np.ndarray]]
     where: np.ndarray
@@ -75,7 +78,7 @@ class NormMapResult:
         return [self.view.point(int(o)) for o in self.image_ordinals]
 
 
-def norm_map(view: FiniteGroupView, table: ClassTable) -> NormMapResult:
+def norm_map(table: ClassTable) -> NormMapResult:
     """Batched Lang solve; asserts rather than assumes well-definedness.
 
     Every computed image is checked to equal both x^{-1} g x and
@@ -86,8 +89,7 @@ def norm_map(view: FiniteGroupView, table: ClassTable) -> NormMapResult:
     witnesses, and raised by centralizer_witness.  Extension degrees
     are bounded by the tower's degree_cap (CapExceeded above it).
     """
-    if table.view is not view:
-        raise ParameterError("class table does not belong to this view")
+    view = table.view
     law, tower = view.law, view.tower
     base = view.field
     solves_before = tower.stats["artin_schreier_solves"]
@@ -148,18 +150,19 @@ def norm_map(view: FiniteGroupView, table: ClassTable) -> NormMapResult:
         "classes": n,
     }
     return NormMapResult(
-        table, tuple(perm.tolist()), image_ordinals, levels, where, errors, stats
+        table, tuple(perm.tolist()), perm == np.arange(n), image_ordinals, levels, where,
+        errors, stats,
     )
 
 
 def is_asai_trivial(result: NormMapResult) -> bool:
     """Delta functions separate classes, so the twisting operator is the
     identity on class functions iff the norm map fixes every class."""
-    return all(result.perm[c] == c for c in range(len(result.perm)))
+    return bool(result.fixed.all())
 
 
 def moved_classes(result: NormMapResult) -> list[int]:
-    return [c for c in range(len(result.perm)) if result.perm[c] != c]
+    return np.nonzero(~result.fixed)[0].tolist()
 
 
 def image_of_member(result: NormMapResult, ordinal: int) -> Point:
@@ -212,13 +215,11 @@ def asai_apply(result: NormMapResult, f: ClassFunction) -> ClassFunction:
     return ClassFunction(f.table, tuple(f.values[result.perm[c]] for c in range(len(f.table))))
 
 
-def inner_product(f1: ClassFunction, f2: ClassFunction, view: FiniteGroupView) -> Fraction:
+def inner_product(f1: ClassFunction, f2: ClassFunction) -> Fraction:
     """Sum over group elements of f1 * conj(f2): class values weighted by
     class size.  Conjugation is trivial on the exact rationals used here."""
     if f1.table is not f2.table:
         raise ParameterError("class functions live on different tables")
-    if f1.table.view is not view:
-        raise ParameterError("class functions do not belong to this view")
     sizes = f1.table.sizes
     return sum(
         (Fraction(sizes[c]) * f1.values[c] * f2.values[c] for c in range(len(f1.table))),
@@ -295,7 +296,7 @@ def centralizer_witness(result: NormMapResult, ci: int) -> Point | None:
     the classes coincide) and re-verifies both witness checks exactly; a
     failure is a bug, not a legitimate outcome, and raises here.
     """
-    if result.perm[ci] != ci:
+    if not result.fixed[ci]:
         return None
     if ci in result.witness_errors:
         raise InternalInconsistencyError(result.witness_errors[ci])

@@ -181,10 +181,9 @@ def _classes_block(table) -> _Rows:
 def _witnesses_block(result) -> _Rows:
     """centralizer_witnesses[{found, degree?, z?}], read from norm_map's
     witness levels: shape 0 is a moved class, shape 1 + i level i."""
-    n = len(result.perm)
-    fixed = np.asarray(result.perm) == np.arange(n)
+    fixed = result.fixed
     kind = np.where(fixed, result.where[:, 0] + 1, 0)
-    shapes = [({"found": False}, np.empty((n - int(fixed.sum()), 0), dtype=np.int64))]
+    shapes = [({"found": False}, np.empty((int((~fixed).sum()), 0), dtype=np.int64))]
     for i, (lvl, z) in enumerate(result.levels):
         rows = z[result.where[kind == i + 1, 1]]
         c, d, k = rows.shape
@@ -217,7 +216,7 @@ def _level_block(result) -> dict:
         "order": table.view.order,
         "classes": _classes_block(table),
         "norm_perm": list(result.perm),
-        "fixed": [result.perm[ci] == ci for ci in range(len(table))],
+        "fixed": result.fixed.tolist(),
     }
 
 
@@ -265,7 +264,7 @@ def _asai_body(cfg: RunConfig) -> None:
     law, tower = _resolve_law(cfg, check_axioms=True)
     max_degree = cfg.max_ext or default_degree_cap(law, cfg.q, cfg.m)  # reported only
     table = _load_or_compute_table(law, tower, cfg)
-    result = norm_map(table.view, table)
+    result = norm_map(table)
     if result.witness_errors:
         # what centralizer_witness raises for the first failing class
         raise InternalInconsistencyError(result.witness_errors[min(result.witness_errors)])

@@ -131,9 +131,6 @@ class ConsistencyReport:
     "unresolved"; an Easy label must see all-trivial operators.
     """
 
-    law_name: str
-    q: int
-    max_m: int
     levels: list[LevelCheck]
     internally_consistent: bool
     family_label: FamilyLabel
@@ -163,8 +160,8 @@ def check_level(
     """Norm map at level m; a witness that failed its checks counts as none."""
     view = enumerate_group(law, tower, q, m, max_order=max_order)
     table = conjugacy_classes(view)
-    result = norm_map(view, table)
-    fixed = [result.perm[c] == c for c in range(len(table))]
+    result = norm_map(table)
+    fixed = result.fixed.tolist()
     witnesses = [
         None if ci in result.witness_errors else centralizer_witness(result, ci)
         for ci in range(len(table))
@@ -220,9 +217,6 @@ def easiness_crosscheck(
     else:
         label_status = "n/a"
     return ConsistencyReport(
-        law_name=law.name,
-        q=q,
-        max_m=max_m,
         levels=levels,
         internally_consistent=internally_consistent,
         family_label=label,

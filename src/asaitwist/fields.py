@@ -445,15 +445,10 @@ class FieldTower:
             self._emb[key] = emb
             return emb
         fid_b = FieldId(self.p, b)
-        if a == 1:
-            mat = np.zeros((1, b), dtype=np.int64)
-            mat[0, 0] = 1  # the unique embedding of the prime field
-            candidates = [mat]
-        else:
-            candidates = [
-                self._powers_matrix(fid_b, r, a)
-                for r in self._root_candidates(a, b)
-            ]
+        candidates = [
+            self._powers_matrix(fid_b, r, a)
+            for r in self._root_candidates(a, b)
+        ]
         pre = sorted(x for (x, t) in self._emb if t == a and x != a)
         post = sorted(y for (s, y) in self._emb if s == b and y != b)
         constraints = [

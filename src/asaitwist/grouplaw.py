@@ -78,9 +78,6 @@ class Polynomial:
         exps[idx] = 1
         return Polynomial.make(p, nvars, [(1, tuple(exps))])
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def add(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.make(self.p, self.nvars, list(self.terms) + list(other.terms))
 
@@ -523,8 +520,6 @@ _SAMPLE_CHUNK = 1 << 14
 
 @dataclass
 class ValidationReport:
-    law_name: str
-    q: int
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
 
     @property
@@ -582,7 +577,7 @@ def validate_law(
     does not grow with sample_budget.
     """
     n = p_power_exponent(q, law.p)
-    rep = ValidationReport(law.name, q)
+    rep = ValidationReport()
     rng = np.random.default_rng(_SAMPLE_SEED)
     fid = tower.make_field(n)
     order = q**law.dim

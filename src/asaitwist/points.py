@@ -9,11 +9,11 @@ code: list position, lookup key and canonical order all coincide.
 
 Conjugation has one backend: add/mul lookup tables over the codes of
 F_{q^m}, so a whole-group conjugation pass is a handful of
-fancy-indexing operations.  Commutative laws build no tables, since every
-conjugate of g is g.  A noncommutative law has dimension d >= 2 (a
-triangular law of dimension 1 is x1 + y1), so its tables have
-(q^m)^2 <= (q^m)^d = |G| entries.  Views and class tables are immutable
-after construction.
+fancy-indexing operations.  A view builds its tables the first time
+they are read, and a law of dimension 1 (x1 + y1, since it is
+triangular) never reads them, so tables that exist have
+(q^m)^2 <= (q^m)^d = |G| entries.  Class tables are immutable after
+construction.
 
 Conjugacy classes are the orbits of conjugation by the d*deg axis
 generators t*e_i (t over an F_p-basis of F_{q^m}, deg its size), found
@@ -34,6 +34,7 @@ h_{<d}, and h_d is free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -214,10 +215,10 @@ class FiniteGroupView:
             cols.append((ordinals // shift) % big_q)
         self.codes = np.stack(cols, axis=-1)
         self.commutative = _commutative_as_polynomials(law)
-        self.tables = self.inv_codes = None
-        if not self.commutative:
-            self.tables = _CodeTables(tower, self.field)
-            self.inv_codes = _eval_inv_codes(law, self.tables, self.codes)
+
+    @cached_property
+    def tables(self) -> _CodeTables:
+        return _CodeTables(self.tower, self.field)
 
     def _codes_to_digits(self, codes: np.ndarray) -> np.ndarray:
         return np.stack(
@@ -266,15 +267,14 @@ class FiniteGroupView:
         """Combined codes of h^{-1} g h over all h, in ordinal order."""
         if self.commutative:
             return np.full(self.order, int(self.combine(g_codes)), dtype=np.int64)
-        return self.combine(
-            _conj_codes(self.law, self.tables, self.inv_codes, g_codes[None, :], self.codes)
-        )
+        h_inv = _eval_inv_codes(self.law, self.tables, self.codes)
+        return self.combine(_conj_codes(self.law, self.tables, h_inv, g_codes[None, :], self.codes))
 
     def conjugation_by(self, s_codes: np.ndarray) -> np.ndarray:
         """Combined codes of s^{-1} g s over all g, in ordinal order.
 
         Conjugation by s is an automorphism, so this is a permutation of
-        the ordinals.  Noncommutative views only.
+        the ordinals.
         """
         s_inv = _eval_inv_codes(self.law, self.tables, s_codes)[None, :]
         return self.combine(_conj_codes(self.law, self.tables, s_inv, self.codes, s_codes[None, :]))
@@ -303,7 +303,7 @@ class FiniteGroupView:
         surviving prefix by all q^m values of the next coordinate in
         order and keeps those that satisfy the coordinate after it, and
         h_d is free.  Blocks of at most min(_CHUNK, |G|) candidates
-        bound the temporaries.  Noncommutative views only.
+        bound the temporaries.
         """
         law, big_q = self.law, self.level_order
         seg = np.nonzero(g_rows[:, 0] == t_rows[:, 0])[0]
@@ -331,8 +331,6 @@ class FiniteGroupView:
     def find_conjugators(self, g_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
         """Least ordinal h with h^{-1} g h = t per row of codes, -1 where
         there is none: the first feasible prefix, with h_d = 0."""
-        if self.commutative:
-            return np.where(np.all(g_rows == t_rows, axis=-1), 0, -1).astype(np.int64)
         seg, prefix = self._feasible_prefixes(g_rows, t_rows)
         found = np.full(len(g_rows), -1, dtype=np.int64)
         rows, first = np.unique(seg, return_index=True)
@@ -446,8 +444,6 @@ def centralizer(view: FiniteGroupView, g: Point) -> np.ndarray:
     Z(g) is the feasible prefixes h_{<d} times every value of h_d.
     """
     codes = view.codes[view.index_of(g)][None, :]  # index_of checks the level
-    if view.commutative:
-        return np.arange(view.order, dtype=np.int64)
     _, prefix = view._feasible_prefixes(codes, codes)
     big_q = view.level_order
     return (prefix[:, None] * big_q + np.arange(big_q, dtype=np.int64)).ravel()

@@ -39,7 +39,7 @@ def get_run(family, p, param, q, m):
         law = builtin(family, p, param)
         view = enumerate_group(law, tower, q, m)
         table = conjugacy_classes(view)
-        _RUNS[key] = (law, tower, view, table, norm_map(view, table))
+        _RUNS[key] = (law, tower, view, table, norm_map(table))
     return _RUNS[key]
 
 

@@ -29,7 +29,7 @@ def n2_result():
     law = builtin("n2", 3)
     view = enumerate_group(law, tower, 3, 1)
     table = conjugacy_classes(view)
-    return law, tower, view, table, norm_map(view, table)
+    return law, tower, view, table, norm_map(table)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def ul3_result():
     law = builtin("ul", 2, 3)
     view = enumerate_group(law, tower, 2, 1)
     table = conjugacy_classes(view)
-    return law, tower, view, table, norm_map(view, table)
+    return law, tower, view, table, norm_map(table)
 
 
 def _coords(pt):
@@ -65,7 +65,7 @@ def test_commutative_law_norm_is_identity():
     law = builtin("ga_power", 3, 2)
     view = enumerate_group(law, tower, 3, 1)
     table = conjugacy_classes(view)
-    res = norm_map(view, table)
+    res = norm_map(table)
     assert is_asai_trivial(res)
     for ci in range(len(table)):
         assert res.images[ci] == table.rep_point(ci)
@@ -77,7 +77,7 @@ def test_ul3_trivial_all_m(ul3_result):
     for m in (2, 3):
         v = enumerate_group(law, tower, 2, m)
         t = conjugacy_classes(v)
-        assert is_asai_trivial(norm_map(v, t))
+        assert is_asai_trivial(norm_map(t))
 
 
 def test_norm_map_well_defined_on_members(n2_result, ul3_result):
@@ -167,12 +167,12 @@ def test_inner_product_examples(ul3_result):
     law, tower, view, table, res = ul3_result
     singleton = table.sizes.index(1)
     d = delta_function(table, singleton)
-    assert inner_product(d, d, view) == 1
+    assert inner_product(d, d) == 1
     one = constant_function(table, 1)
-    assert inner_product(one, one, view) == 8
+    assert inner_product(one, one) == 8
     two = table.sizes.index(2)
     d2 = delta_function(table, two)
-    assert inner_product(d2, d2, view) == 2
+    assert inner_product(d2, d2) == 2
 
 
 def test_inner_product_table_mismatch(n2_result, ul3_result):
@@ -181,7 +181,7 @@ def test_inner_product_table_mismatch(n2_result, ul3_result):
     _, _, view2, table2, _ = ul3_result
     with pytest.raises(ParameterError):
         inner_product(
-            delta_function(table, 0), delta_function(table2, 0), view
+            delta_function(table, 0), delta_function(table2, 0)
         )
 
 
@@ -300,6 +300,6 @@ def test_witness_search_work_is_linear_in_the_group(monkeypatch, group, p, q, m)
     view = enumerate_group(parse_group_name(group, p), FieldTower(p), q, m)
     table = conjugacy_classes(view)
     monkeypatch.setattr(points_module, "_coordinate_agrees", counting)
-    result = norm_map(view, table)
+    result = norm_map(table)
     assert not result.witness_errors
     assert 0 < sum(candidates) <= 16 * view.order

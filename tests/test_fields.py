@@ -439,6 +439,17 @@ def test_embedding_chain_matches_direct_jump():
     assert tower.section(tower.embed(y, f27), f9) == y
 
 
+@pytest.mark.parametrize("p,b", [(2, 4), (2, 13), (2, 64), (3, 9)])
+def test_prime_field_embedding_is_e0(p, b):
+    """F_p sits in F_{p^b} as the constants, whichever root search finds
+    the root 0 of the degree-1 modulus t (brute force for 2^4, trace
+    splitting for the others)."""
+    tower = FieldTower(p)
+    emb = tower._embedding(1, b)
+    assert emb.mat.tolist() == [[1] + [0] * (b - 1)]
+    assert (p**b <= _BRUTE_ROOT_BOUND) == ((p, b) == (2, 4))
+
+
 def test_embedding_lattice_order_independent():
     """Triangle compatibility must hold no matter the construction order."""
     import itertools

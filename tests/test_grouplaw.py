@@ -258,6 +258,9 @@ def test_dsl_semantic_errors():
         parse_group_dsl("group g dim 2 char 3\nmul[1] = x1 + y1\n")
     with pytest.raises(GroupLawSemanticError):
         parse_group_dsl("group g dim 1 char 3\nmul[1] = x1 + y1 + x2*y2\n")
+    with pytest.raises(GroupLawSemanticError, match=r"mul\(0, y\) != y") as exc:
+        parse_group_dsl("group g dim 2 char 3\nmul[1] = x1 + y1\nmul[2] = x2 + y2 + y1^2\n")
+    assert exc.value.coordinate == 2
 
 
 @st.composite

@@ -63,7 +63,7 @@ def _check_batch_against_oracles(law, q, m):
             assert verify_witness(law, tower, one)
 
     table = conjugacy_classes(view)
-    result = norm_map(view, table)
+    result = norm_map(table)
     brute_checked = 0
     for ci in range(len(table)):
         rep = table.rep_point(ci)

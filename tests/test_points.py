@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from asaitwist.asai import norm_map
 from asaitwist.cache import class_table_path, load_class_table, save_class_table
 from asaitwist.errors import CapExceeded, ParameterError
 from asaitwist.fields import FieldTower
@@ -14,6 +15,7 @@ from asaitwist.grouplaw import (
     eval_mul,
     parse_group_dsl,
     parse_group_name,
+    validate_law,
 )
 from asaitwist.points import (
     FiniteGroupView,
@@ -30,6 +32,12 @@ mul[1] = x1 + y1
 mul[2] = x2 + y2
 mul[3] = x3 + y3 + x1 * y2
 mul[4] = x4 + y4 + x1 * y1
+"""
+
+# commutative, but its cocycle x1 * y1 is not zero
+COMMUTATIVE_COCYCLE = """group comm_cocycle dim 2 char 2
+mul[1] = x1 + y1
+mul[2] = x2 + y2 + x1 * y1
 """
 
 
@@ -337,14 +345,17 @@ def test_centralizer_wrong_level(n2_f3):
 
 
 def test_conjugation_kernels_match_scalar_oracle():
-    """The lookup-table kernel and the prefix filter on ul(3) and n2, and
-    the commutative kernel on ga_power(2), against scalar LawOps brute
-    force over every point: conjugates, least conjugators (one by one and
-    batched against the scan), centralizers, class members, and
-    centralizer counts one level up."""
-    for family, p, param in (("ul", 2, 3), ("n2", 3, None), ("ga_power", 2, 2)):
+    """The lookup-table kernel and the prefix filter on ul(3), n2, the
+    commutative ga_power(1) and ga_power(2), and a commutative law with a
+    nonzero cocycle, against scalar LawOps brute force over every point:
+    conjugates, least conjugators (one by one and batched against the
+    scan), centralizers, class members, and centralizer counts one level
+    up."""
+    laws = [builtin("ul", 2, 3), builtin("n2", 3), builtin("ga_power", 2, 2)]
+    laws += [builtin("ga_power", 2, 1), parse_group_dsl(COMMUTATIVE_COCYCLE)]
+    for law in laws:
+        p = law.p
         tower = FieldTower(p)
-        law = builtin(family, p, param)
         view = enumerate_group(law, tower, p, 2)
         table = conjugacy_classes(view)
         ops = view.ops
@@ -445,6 +456,27 @@ def test_commutative_table_holds_no_per_class_arrays():
     assert table.order.tolist() == list(range(n))
     assert table.offsets.tolist() == list(range(n + 1))
     assert table.reps.shape == table.class_of.shape == (n,)
+
+
+def test_commutative_views_build_no_code_tables():
+    """A view fills its lookup tables on first read, and nothing in a
+    commutative law's norm map reads them; nor, in dimension 1, does the
+    prefix filter."""
+    assert validate_law(parse_group_dsl(COMMUTATIVE_COCYCLE), FieldTower(2), 2).passed
+    laws = [parse_group_name(g, 2) for g in ("ga_power(1)", "ga_power(2)")]
+    for law in laws + [parse_group_dsl(COMMUTATIVE_COCYCLE)]:
+        view = enumerate_group(law, FieldTower(2), 2, 2)
+        assert not norm_map(conjugacy_classes(view)).witness_errors
+        assert "tables" not in vars(view)
+    view = enumerate_group(laws[0], FieldTower(2), 2, 3)
+    assert view.find_conjugator(view.codes[5], view.codes[5]) == 0
+    assert view.find_conjugator(view.codes[5], view.codes[6]) is None
+    assert centralizer(view, view.point(5)).tolist() == list(range(8))
+    assert "tables" not in vars(view)
+    view = enumerate_group(parse_group_name("ul(3)", 2), FieldTower(2), 2, 1)
+    assert "tables" not in vars(view)
+    conjugacy_classes(view)
+    assert "tables" in vars(view)
 
 
 def test_class_pass_makes_one_conjugation_pass_per_generator(monkeypatch):
