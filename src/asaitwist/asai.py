@@ -39,7 +39,7 @@ from .grouplaw import eval_inv, eval_mul
 # lang_solve_triangular is the one-point form of lang_solve_batch; it stays
 # bound here because perfbench/tracer.py wraps it at this import site
 from .lang import lang_solve_batch, lang_solve_triangular  # noqa: F401
-from .points import ClassTable, FiniteGroupView, Point, digits_point
+from .points import ClassTable, FiniteGroupView, Point, check_index, digits_point
 
 # class representatives per batch: bounds the (rows, d, k) temporaries
 _ROW_CHUNK = 1 << 12
@@ -172,7 +172,7 @@ def image_of_member(result: NormMapResult, ordinal: int) -> Point:
     at h, so the image is the recorded class image conjugated by w.
     """
     view = result.view
-    ci = int(result.table.class_of[ordinal])
+    ci = int(result.table.class_of[check_index(ordinal, view.order)])
     g_codes = view.codes[int(result.table.reps[ci])]
     w_ord = view.find_conjugator(g_codes, view.codes[ordinal])
     if w_ord is None:
@@ -200,7 +200,7 @@ class ClassFunction:
 
 def delta_function(table: ClassTable, ci: int) -> ClassFunction:
     vals = [Fraction(0)] * len(table)
-    vals[ci] = Fraction(1)
+    vals[check_index(ci, len(table))] = Fraction(1)
     return ClassFunction(table, tuple(vals))
 
 
@@ -296,7 +296,7 @@ def centralizer_witness(result: NormMapResult, ci: int) -> Point | None:
     the classes coincide) and re-verifies both witness checks exactly; a
     failure is a bug, not a legitimate outcome, and raises here.
     """
-    if not result.fixed[ci]:
+    if not result.fixed[check_index(ci, len(result.table))]:
         return None
     if ci in result.witness_errors:
         raise InternalInconsistencyError(result.witness_errors[ci])

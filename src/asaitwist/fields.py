@@ -40,7 +40,7 @@ from .errors import (
     InternalInconsistencyError,
     ParameterError,
 )
-from .modp import coset_min, kernel_rref, matpow_mod, rref_mod
+from .modp import coset_min, kernel_rref, matpow_mod, power, rref_mod
 
 DEFAULT_DEGREE_CAP = 1024
 
@@ -189,8 +189,6 @@ def _frobenius_matrix(modulus: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass
 class _Embedding:
-    src_degree: int
-    dst_degree: int
     mat: np.ndarray  # (a, kb): row i = digits of (image of generator)^i
     sec: np.ndarray  # (kb, a): y @ sec recovers source digits for y in image
     chk: np.ndarray  # (kb, kb-a): y @ chk == 0 iff y lies in the image
@@ -283,12 +281,7 @@ class FieldTower:
         return self.element(fid, [0] * fid.degree)
 
     def one(self, fid: FieldId) -> FieldElement:
-        return self.from_int(fid, 1)
-
-    def from_int(self, fid: FieldId, c: int) -> FieldElement:
-        coeffs = [0] * fid.degree
-        coeffs[0] = c % self.p
-        return self.element(fid, coeffs)
+        return self.element(fid, [1] + [0] * (fid.degree - 1))
 
     def element_from_code(self, fid: FieldId, code: int) -> FieldElement:
         coeffs = []
@@ -315,22 +308,9 @@ class FieldTower:
         self._same_field(x, y)
         return self._el(x.field, (self._dig(x) - self._dig(y)) % self.p)
 
-    def neg(self, x: FieldElement) -> FieldElement:
-        return self._el(x.field, (-self._dig(x)) % self.p)
-
     def mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
         self._same_field(x, y)
         return self._el(x.field, self.vmul(x.field, self._dig(x), self._dig(y)))
-
-    def power(self, x: FieldElement, e: int) -> FieldElement:
-        if e < 0:
-            return self.power(self.invert(x), -e)
-        return self._el(x.field, self.vpow(x.field, self._dig(x), e))
-
-    def invert(self, x: FieldElement) -> FieldElement:
-        if x.is_zero():
-            raise ParameterError("zero has no inverse")
-        return self.power(x, x.field.order - 2)
 
     def _same_field(self, x: FieldElement, y: FieldElement):
         if x.field != y.field:
@@ -358,22 +338,10 @@ class FieldTower:
         return (conv[..., :k] + conv[..., k:] @ lvl.red) % self.p
 
     def vpow(self, fid: FieldId, a: np.ndarray, e: int) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if e == 1:
-            return a % self.p
-        if e == 0:
-            out = np.zeros_like(a)
-            out[..., 0] = 1
-            return out
-        out = None
-        base = a % self.p
-        while e:
-            if e & 1:
-                out = base if out is None else self.vmul(fid, out, base)
-            e >>= 1
-            if e:
-                base = self.vmul(fid, base, base)
-        return out
+        a = np.asarray(a, dtype=np.int64) % self.p
+        one = np.zeros_like(a)
+        one[..., 0] = 1
+        return power(a, e, lambda u, v: self.vmul(fid, u, v), one)
 
     def vfrob(self, fid: FieldId, a: np.ndarray, e: int) -> np.ndarray:
         """x -> x^{p^e} applied to every digit row."""
@@ -441,7 +409,7 @@ class FieldTower:
         self.make_field(b)
         if a == b:
             eye = np.eye(a, dtype=np.int64)
-            emb = _Embedding(a, b, eye, eye, np.zeros((a, 0), dtype=np.int64))
+            emb = _Embedding(eye, eye, np.zeros((a, 0), dtype=np.int64))
             self._emb[key] = emb
             return emb
         fid_b = FieldId(self.p, b)
@@ -482,7 +450,7 @@ class FieldTower:
 
     def _register_edge(self, a: int, b: int, mat: np.ndarray, pre, post):
         """Store (a, b) and every new composition through it."""
-        self._emb[(a, b)] = self._finish_embedding(a, b, mat)
+        self._emb[(a, b)] = self._finish_embedding(a, mat)
         for x in [a] + pre:
             for y in [b] + post:
                 if x == a and y == b:
@@ -494,7 +462,7 @@ class FieldTower:
                     m = (self._emb[(x, a)].mat @ m) % self.p
                 if y != b:
                     m = (m @ self._emb[(b, y)].mat) % self.p
-                self._emb[(x, y)] = self._finish_embedding(x, y, m)
+                self._emb[(x, y)] = self._finish_embedding(x, m)
 
     def _root_candidates(self, a: int, b: int) -> list[np.ndarray]:
         """All roots of the degree-a modulus in F_{p^b} (one Frobenius
@@ -518,13 +486,13 @@ class FieldTower:
             mat[i] = row
         return mat
 
-    def _finish_embedding(self, a: int, b: int, mat: np.ndarray) -> _Embedding:
+    def _finish_embedding(self, a: int, mat: np.ndarray) -> _Embedding:
         r, t, pivots = rref_mod(mat.T, self.p)
         if len(pivots) != a:
             raise InternalInconsistencyError("embedding matrix is not injective")
         sec = t[:a].T % self.p
         chk = t[a:].T % self.p
-        return _Embedding(a, b, mat, sec, chk)
+        return _Embedding(mat, sec, chk)
 
     # ---- roots of a defining polynomial in a bigger field ----
 

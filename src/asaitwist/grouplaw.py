@@ -29,6 +29,7 @@ from .errors import (
     ParameterError,
 )
 from .fields import FieldId, FieldTower, is_prime, p_power_exponent
+from .modp import power
 
 _SAMPLE_SEED = 1729
 
@@ -95,14 +96,8 @@ class Polynomial:
         return Polynomial.make(self.p, self.nvars, raw)
 
     def pow(self, e: int) -> "Polynomial":
-        out = Polynomial.make(self.p, self.nvars, [(1, (0,) * self.nvars)])
-        base = self
-        while e:
-            if e & 1:
-                out = out.mul(base)
-            base = base.mul(base)
-            e >>= 1
-        return out
+        one = Polynomial.make(self.p, self.nvars, [(1, (0,) * self.nvars)])
+        return power(self, e, Polynomial.mul, one)
 
     def subs(self, mapping: dict[int, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for variables by index."""
@@ -190,7 +185,6 @@ class GroupLaw:
     dim: int
     mul: tuple[Polynomial, ...]
     inv: tuple[Polynomial, ...]
-    triangular: bool
     family: str | None = field(default=None, compare=False)
     params: tuple[int, ...] = field(default=(), compare=False)
 
@@ -266,7 +260,7 @@ def make_law(
         raise GroupLawSemanticError(f"expected {dim} coordinates, got {len(mul)}")
     _check_identity_polys(p, dim, mul)
     inv = derive_inverse(mul, dim, p)
-    return GroupLaw(name, p, dim, mul, inv, True, family, params)
+    return GroupLaw(name, p, dim, mul, inv, family, params)
 
 
 # ---------------------------------------------------------------------------

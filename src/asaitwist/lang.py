@@ -71,8 +71,6 @@ def lang_solve_batch(
     does not depend on the other rows.  Returns one (field, rows, x)
     group per level, x[j] solving the Lang equation for row rows[j].
     """
-    if not law.triangular:
-        raise ParameterError("triangular solver requires a triangular law")
     g = np.asarray(g, dtype=np.int64)
     if g.ndim != 3 or g.shape[1] != law.dim:
         raise ParameterError("g must be a (rows, dim, k) digit array")

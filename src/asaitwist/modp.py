@@ -2,6 +2,9 @@
 
 All entries are kept reduced to [0, p).  Callers work with row vectors;
 systems are solved in the usual column-vector convention.
+
+power is the one square-and-multiply loop: matrices mod p, field digit
+rows, lookup-table codes and polynomials each pass it their product.
 """
 
 from __future__ import annotations
@@ -9,17 +12,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def matpow_mod(mat: np.ndarray, e: int, p: int) -> np.ndarray:
-    """mat**e mod p by binary powering (e >= 0)."""
-    n = mat.shape[0]
-    out = np.eye(n, dtype=np.int64)
-    base = mat % p
+def power(base, e: int, mul, one):
+    """base**e under the associative product mul (e >= 0; one for e == 0):
+    one never enters a product, so e == 1 costs none, and base is not
+    squared again after the top bit of e."""
+    out = None
     while e:
         if e & 1:
-            out = (out @ base) % p
-        base = (base @ base) % p
+            out = base if out is None else mul(out, base)
         e >>= 1
-    return out
+        if e:
+            base = mul(base, base)
+    return one if out is None else out
+
+
+def matpow_mod(mat: np.ndarray, e: int, p: int) -> np.ndarray:
+    """mat**e mod p (e >= 0)."""
+    return power(mat % p, e, lambda a, b: (a @ b) % p, np.eye(mat.shape[0], dtype=np.int64))
 
 
 def rref_mod(mat: np.ndarray, p: int):

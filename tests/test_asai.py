@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -303,3 +304,22 @@ def test_witness_search_work_is_linear_in_the_group(monkeypatch, group, p, q, m)
     result = norm_map(table)
     assert not result.witness_errors
     assert 0 < sum(candidates) <= 16 * view.order
+
+
+def test_indices_outside_their_range_raise(ul3_result):
+    """-1 and n raise ParameterError at every entry point that takes an
+    ordinal (n = |G| = 8) or a class index (n = 5 classes): nothing
+    wraps a negative index, and numpy's IndexError does not escape."""
+    _, _, view, table, res = ul3_result
+    calls = [
+        (partial(image_of_member, res), view.order),
+        (view.point, view.order),
+        (partial(centralizer_witness, res), len(table)),
+        (table.rep_point, len(table)),
+        (partial(delta_function, table), len(table)),
+    ]
+    for call, n in calls:
+        call(n - 1)
+        for i in (-1, n):
+            with pytest.raises(ParameterError):
+                call(i)

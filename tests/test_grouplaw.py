@@ -317,7 +317,7 @@ def test_validate_detects_identity_violation():
         [(1, (0, 1, 0, 0)), (1, (0, 0, 0, 1)), (1, (1, 0, 1, 0)), (1, (1, 0, 0, 0))],
     )
     inv = derive_inverse((m1, Polynomial.make(p, 4, [(1, (0, 1, 0, 0)), (1, (0, 0, 0, 1))])), 2, p)
-    broken = GroupLaw("broken", p, 2, (m1, m2), inv, True)
+    broken = GroupLaw("broken", p, 2, (m1, m2), inv)
     rep = validate_law(broken, FieldTower(p), 3)
     assert not rep.passed
     assert any(nm == "identity" and not ok for nm, ok, _ in rep.checks)

@@ -2,7 +2,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asaitwist.modp import coset_min, kernel_rref, matpow_mod, rref_mod
+from asaitwist.fields import FieldTower
+from asaitwist.grouplaw import Polynomial
+from asaitwist.modp import coset_min, kernel_rref, matpow_mod, power, rref_mod
+from asaitwist.points import _CodeTables
 
 
 def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -93,3 +96,44 @@ def test_matpow():
     m = np.array([[1, 1], [0, 1]], dtype=np.int64)
     assert np.array_equal(matpow_mod(m, 3, 5), (m @ m @ m) % 5)
     assert np.array_equal(matpow_mod(m, 0, 5), np.eye(2, dtype=np.int64))
+
+
+def test_power_matches_repeated_multiplication_on_every_algebra():
+    """power against e - 1 products, e = 0..9, on matrices mod p, field
+    digit rows, lookup-table codes and polynomials; e == 0 gives one
+    itself, and the loop makes bit_length - 1 squarings and popcount - 1
+    other products."""
+    p = 3
+    tower = FieldTower(p)
+    fid = tower.make_field(2)
+    tab = _CodeTables(tower, fid)
+    one_poly = Polynomial.make(p, 4, [(1, (0, 0, 0, 0))])
+    poly = Polynomial.make(p, 4, [(1, (1, 0, 0, 0)), (2, (0, 0, 2, 0)), (1, (0, 0, 0, 0))])
+    algebras = [
+        (np.array([[1, 2], [1, 1]]), lambda a, b: (a @ b) % p, np.eye(2, dtype=np.int64)),
+        (
+            np.array([[1, 2], [0, 1], [2, 2]]),
+            lambda a, b: tower.vmul(fid, a, b),
+            np.array([[1, 0]] * 3),
+        ),
+        (np.arange(9), lambda a, b: tab.mul[a, b], np.ones(9, dtype=np.int64)),
+        (poly, Polynomial.mul, one_poly),
+    ]
+    for base, mul, one in algebras:
+        products = []
+
+        def counted(a, b):
+            products.append(1)
+            return mul(a, b)
+
+        assert power(base, 0, counted, one) is one
+        expected = base
+        for e in range(1, 10):
+            products.clear()
+            got = power(base, e, counted, one)
+            assert len(products) == e.bit_length() - 1 + bin(e).count("1") - 1
+            if isinstance(base, Polynomial):
+                assert got == expected
+            else:
+                assert np.array_equal(got, expected)
+            expected = mul(expected, base)

@@ -8,6 +8,7 @@ from asaitwist.asai import norm_map
 from asaitwist.cache import class_table_path, load_class_table, save_class_table
 from asaitwist.errors import CapExceeded, ParameterError
 from asaitwist.fields import FieldTower
+from asaitwist import grouplaw as grouplaw_module
 from asaitwist import points as points_module
 from asaitwist.grouplaw import (
     all_tuples,
@@ -38,6 +39,15 @@ mul[4] = x4 + y4 + x1 * y1
 COMMUTATIVE_COCYCLE = """group comm_cocycle dim 2 char 2
 mul[1] = x1 + y1
 mul[2] = x2 + y2 + x1 * y1
+"""
+
+# COMMUTATIVE_COCYCLE times n2 at p = 2: axis 1 is central although the
+# cocycle of coordinate 2 involves it
+PRODUCT = """group product dim 4 char 2
+mul[1] = x1 + y1
+mul[2] = x2 + y2 + x1 * y1
+mul[3] = x3 + y3
+mul[4] = x4 + y4 + x3 * y3^2
 """
 
 
@@ -501,9 +511,46 @@ def test_class_pass_makes_one_conjugation_pass_per_generator(monkeypatch):
         (parse_group_name("ul(3)", 2), 3, 71, 1),
         (parse_group_name("ul(4)", 2), 2, 136, 1),
         (parse_group_dsl(MID_CENTRAL.format(p=2)), 2, 76, 2),
+        (parse_group_dsl(PRODUCT), 2, 160, 3),
     ):
         view = enumerate_group(law, tower, 2, m)
         calls["by"] = calls["combined"] = 0
         assert len(conjugacy_classes(view)) == n_classes
         assert calls["by"] == (law.dim - central) * m
         assert calls["combined"] == 0
+        assert_classes_match_oracle(view)
+    assert validate_law(parse_group_dsl(PRODUCT), tower, 2).passed
+
+
+def assert_central_axes_are_central(law, q, m):
+    """Conjugation by each generator of an axis _central_axes marks is the
+    identity, and every axis that no cocycle involves is marked."""
+    view = enumerate_group(law, FieldTower(law.p), q, m)
+    central = points_module._central_axes(law)
+    gens = view.axis_generators().reshape(law.dim, view.field.degree, law.dim)
+    for s in gens[central].reshape(-1, law.dim):
+        assert view.conjugation_by(s).tolist() == list(range(view.order))
+    cocycles = grouplaw_module._check_triangular(law.p, law.dim, law.mul)
+    involved = set().union(*(h.coordinate_indices() for h in cocycles))
+    assert all(central[i] for i in range(law.dim) if i not in involved)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_dsl_law(groups=BUILTINS + ["ga_power(4)"], primes=(2, 3, 5)))
+def test_central_axes_are_central_on_random_laws(case):
+    assert_central_axes_are_central(*case)
+
+
+def test_central_axes_are_central_on_builtin_and_dsl_laws():
+    cases = [(parse_group_name(g, p), q, m) for g, p, q, m in (
+        ("n2", 3, 3, 2), ("n2", 2, 4, 1), ("ul(3)", 2, 2, 2), ("ul(4)", 2, 2, 1),
+        ("ga_power(1)", 2, 2, 2), ("ga_power(3)", 3, 3, 1),
+    )]
+    cases += [(parse_group_dsl(text), 2, 2) for text in (COMMUTATIVE_COCYCLE, PRODUCT)]
+    cases += [(parse_group_dsl(MID_CENTRAL.format(p=3)), 3, 1)]
+    for law, q, m in cases:
+        assert_central_axes_are_central(law, q, m)
+    assert points_module._central_axes(parse_group_dsl(PRODUCT)).tolist() == [
+        True, True, False, True
+    ]
+    assert points_module._central_axes(parse_group_dsl(COMMUTATIVE_COCYCLE)).all()
