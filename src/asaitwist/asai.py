@@ -100,7 +100,7 @@ def norm_map(table: ClassTable) -> NormMapResult:
     errors: dict[int, str] = {}
     for lo in range(0, n, _ROW_CHUNK):
         chunk = np.arange(lo, min(lo + _ROW_CHUNK, n))
-        g = view._codes_to_digits(view.codes[table.reps[chunk]])
+        g = view.digits(table.reps[chunk])
         for lvl, rows, x in lang_solve_batch(law, tower, g):
             classes = chunk[rows]
             mul = partial(eval_mul, law, tower, lvl)
@@ -115,7 +115,7 @@ def norm_map(table: ClassTable) -> NormMapResult:
             if not np.array_equal(frob(img), img):
                 raise InternalInconsistencyError("norm image is not F^m-rational")
             img = tower.vsection(lvl, base, img)
-            ords = view.combine(view._digits_to_codes(img))
+            ords = view.ordinals(img)
             image_ordinals[classes] = ords
 
             # z = (x y)^{-1} for the fixed classes, y the least rational
@@ -123,14 +123,14 @@ def norm_map(table: ClassTable) -> NormMapResult:
             fixed = np.nonzero(table.class_of[ords] == classes)[0]
             images, reps = ords[fixed], table.reps[classes[fixed]]
             search = images != reps
-            found = view.find_conjugators(view.codes[images[search]], view.codes[reps[search]])
+            found = view.find_conjugators(images[search], reps[search])
             for row in fixed[search][found < 0]:
                 errors[int(classes[row])] = (
                     "class is fixed but no rational y conjugates the norm image back"
                 )
             y = np.zeros(len(fixed), dtype=np.int64)
             y[search] = np.maximum(found, 0)  # a failed search keeps y = 1, its error recorded
-            yd = tower.vembed(base, lvl, view._codes_to_digits(view.codes[y]))
+            yd = tower.vembed(base, lvl, view.digits(y))
             z = np.zeros_like(x)
             z[fixed] = zf = inv(mul(x[fixed], yd))
             gf = ge[fixed]
@@ -173,8 +173,7 @@ def image_of_member(result: NormMapResult, ordinal: int) -> Point:
     """
     view = result.view
     ci = int(result.table.class_of[check_index(ordinal, view.order)])
-    g_codes = view.codes[int(result.table.reps[ci])]
-    w_ord = view.find_conjugator(g_codes, view.codes[ordinal])
+    w_ord = view.find_conjugator(int(result.table.reps[ci]), ordinal)
     if w_ord is None:
         raise InternalInconsistencyError("ordinal is not in the class of its table")
     image = view.point(int(result.image_ordinals[ci]))

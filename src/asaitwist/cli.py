@@ -170,8 +170,7 @@ def _emit(report: dict, out: str | None):
 
 def _classes_block(table) -> _Rows:
     """classes[{rep, size}], from one digit conversion of the representatives."""
-    view = table.view
-    reps = view._codes_to_digits(view.codes[table.reps])
+    reps = table.view.digits(table.reps)
     n, d, k = reps.shape
     rows = np.concatenate([reps.reshape(n, d * k), np.diff(table.offsets)[:, None]], axis=1)
     shape = {"rep": [[_SLOT] * k] * d, "size": _SLOT}

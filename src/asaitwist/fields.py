@@ -29,6 +29,7 @@ a tower must not be shared between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import isqrt
 from typing import Iterator
 
@@ -187,6 +188,15 @@ def _frobenius_matrix(modulus: np.ndarray, p: int) -> np.ndarray:
     return mat
 
 
+def _values_on_prime_field(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """f(x) for every x in F_p, by Horner's rule on coefficients c_0..c_k."""
+    xs = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in coeffs[::-1]:
+        vals = (vals * xs + int(c)) % p
+    return vals
+
+
 @dataclass
 class _Embedding:
     mat: np.ndarray  # (a, kb): row i = digits of (image of generator)^i
@@ -235,23 +245,19 @@ class FieldTower:
         return self._levels[degree]
 
     def _least_irreducible(self, k: int) -> np.ndarray:
+        """The code-least monic irreducible of degree k: upper parts g =
+        c_1 t + ... + t^k in code order, as Python integers so no degree
+        overflows, each evaluated once on F_p, then the constants c_0 != 0
+        outside -g(F_p) (no root in F_p), smallest first."""
         p = self.p
         if k == 1:
             return np.array([0, 1], dtype=np.int64)  # t itself: F_p[t]/(t)
-        weights = p ** np.arange(k, dtype=np.int64)
-        xs = np.arange(p, dtype=np.int64)
-        for j in range(p**k):
-            low = (j // weights) % p
-            if low[0] == 0:
-                continue  # t divides
-            coeffs = np.concatenate([low, [1]])
-            vals = np.zeros(p, dtype=np.int64)
-            for c in coeffs[::-1]:
-                vals = (vals * xs + int(c)) % p
-            if np.any(vals == 0):
-                continue  # linear factor
-            if self._is_irreducible(coeffs):
-                return coeffs
+        for upper in product(range(p), repeat=k - 1):
+            coeffs = np.array([0, *upper[::-1], 1], dtype=np.int64)
+            for c0 in np.setdiff1d(np.arange(1, p), -_values_on_prime_field(coeffs, p) % p):
+                coeffs[0] = c0
+                if self._is_irreducible(coeffs):
+                    return coeffs
         raise InternalInconsistencyError(f"no irreducible of degree {k} found")
 
     def _is_irreducible(self, coeffs: np.ndarray) -> bool:
@@ -284,11 +290,7 @@ class FieldTower:
         return self.element(fid, [1] + [0] * (fid.degree - 1))
 
     def element_from_code(self, fid: FieldId, code: int) -> FieldElement:
-        coeffs = []
-        for _ in range(fid.degree):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return self.element(fid, coeffs)
+        return self.element(fid, [code // self.p**i % self.p for i in range(fid.degree)])
 
     def elements(self, fid: FieldId) -> Iterator[FieldElement]:
         for code in range(fid.order):

@@ -538,21 +538,17 @@ def eval_inv(law: GroupLaw, tower: FieldTower, fid: FieldId, x) -> np.ndarray:
     return np.stack([poly.evaluate(tower, fid, x) for poly in law.inv], axis=-2)
 
 
-def all_tuples(tower: FieldTower, fid: FieldId, dim: int, codes=None) -> np.ndarray:
+def all_tuples(tower: FieldTower, fid: FieldId, dim: int, ordinals=None) -> np.ndarray:
     """Digit arrays of coordinate tuples, canonically ordered.
 
-    The combined code of a tuple is mixed-radix with coordinate 1 most
-    significant; codes == None enumerates the full space.
+    The ordinal of a tuple is the C-order index of its coordinate codes,
+    so coordinate 1 is the most significant; ordinals == None enumerates
+    the full space.
     """
     q = fid.order
-    if codes is None:
-        codes = np.arange(q**dim, dtype=np.int64)
-    codes = np.asarray(codes, dtype=np.int64)
-    coords = []
-    for j in range(dim):
-        shift = q ** (dim - 1 - j)
-        coords.append(tower.codes_to_digits(fid, (codes // shift) % q))
-    return np.stack(coords, axis=-2)
+    if ordinals is None:
+        ordinals = np.arange(q**dim, dtype=np.int64)
+    return tower.codes_to_digits(fid, np.stack(np.unravel_index(ordinals, (q,) * dim), axis=-1))
 
 
 def validate_law(

@@ -2,18 +2,21 @@
 
 G(F_{q^m}) for a triangular law over F_p is the full coordinate space
 (F_{q^m})^d: the q^m-power Frobenius acts coordinate-wise, so its fixed
-points are exactly the tuples with every coordinate in F_{q^m}.  Elements
-are indexed canonically by a mixed-radix code with coordinate 1 the most
-significant digit, which makes the ordinal of an element equal to its
-code: list position, lookup key and canonical order all coincide.
+points are exactly the tuples with every coordinate in F_{q^m}.  A view
+names an element by its ordinal or by its digit array (d, k), and its
+methods take and return only those two forms (digits() and ordinals()
+convert).  The ordinal is the C-order index of the coordinate codes
+(coordinate 1 most significant), so list position, lookup key and
+canonical order all coincide.
 
-Conjugation has one backend: add/mul lookup tables over the codes of
-F_{q^m}, so a whole-group conjugation pass is a handful of
-fancy-indexing operations.  A view builds its tables the first time
-they are read, and nothing but the conjugates_combined oracle reads
-them for a law of dimension 1 (x1 + y1, since it is triangular), so
-tables the pipeline builds have (q^m)^2 <= (q^m)^d = |G| entries.
-Class tables are immutable after construction.
+The codes are the private form of the kernels here.  Conjugation has
+one backend: add/mul lookup tables over the codes of F_{q^m}, so a
+whole-group conjugation pass is a handful of fancy-indexing operations.
+A view builds its tables the first time they are read, and nothing but
+the conjugates_combined oracle reads them for a law of dimension 1
+(x1 + y1, since it is triangular), so tables the pipeline builds have
+(q^m)^2 <= (q^m)^d = |G| entries.  Class tables are immutable after
+construction.
 
 Conjugacy classes are the orbits of conjugation by the d*deg axis
 generators t*e_i (t over an F_p-basis of F_{q^m}, deg its size), found
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import CapExceeded, ParameterError
 from .fields import FieldElement, FieldId, FieldTower, p_power_exponent
-from .grouplaw import GroupLaw, Polynomial, eval_inv, eval_mul
+from .grouplaw import GroupLaw, Polynomial, all_tuples, eval_inv, eval_mul
 from .modp import power
 
 DEFAULT_MAX_ORDER = 2_000_000
@@ -170,18 +173,17 @@ def _eval_inv_codes(law: GroupLaw, tab: _CodeTables, x) -> np.ndarray:
     return np.stack([_eval_poly_codes(p, tab, x) for p in law.inv], axis=-1)
 
 
-def _conj_codes(law: GroupLaw, tab: _CodeTables, h_inv, g, h) -> np.ndarray:
-    """Codes of h^{-1} g h, broadcasting over the leading axes."""
-    return _eval_mul_codes(law, tab, h_inv, _eval_mul_codes(law, tab, g, h))
-
-
 def _coordinate_agrees(poly: Polynomial, tab: _CodeTables, g, h, t) -> np.ndarray:
     """Rows where coordinate poly of g h equals that of h t."""
     return _eval_poly_codes(poly, tab, g, h) == _eval_poly_codes(poly, tab, h, t)
 
 
 class FiniteGroupView:
-    """G(F_{q^m}) with canonical element order and vectorized kernels."""
+    """G(F_{q^m}) with canonical element order and vectorized kernels.
+
+    Every method takes and returns ordinals or digit arrays; the
+    coordinate codes of the lookup-table kernels stay inside them.
+    """
 
     def __init__(
         self,
@@ -204,51 +206,40 @@ class FiniteGroupView:
         self.field = tower.make_field(n * m)
         self.order = order
         self.ops = LawOps(law, tower)
-        # coordinate codes, ordinal == mixed-radix combined code
-        ordinals = np.arange(order, dtype=np.int64)
-        cols = []
-        for j in range(law.dim):
-            shift = big_q ** (law.dim - 1 - j)
-            cols.append((ordinals // shift) % big_q)
-        self.codes = np.stack(cols, axis=-1)
+        # the kernels' coordinate codes: row o is the C-order multi-index
+        # of ordinal o, the one rule all_tuples and ordinals() also follow
+        self._radices = (big_q,) * law.dim
+        self._codes = np.stack(np.unravel_index(np.arange(order), self._radices), axis=-1)
 
     @cached_property
     def tables(self) -> _CodeTables:
         return _CodeTables(self.tower, self.field)
 
-    def _codes_to_digits(self, codes: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [
-                self.tower.codes_to_digits(self.field, codes[..., j])
-                for j in range(self.law.dim)
-            ],
-            axis=-2,
-        )
+    def _ordinals_of_codes(self, codes: np.ndarray) -> np.ndarray:
+        return np.ravel_multi_index(tuple(np.moveaxis(codes, -1, 0)), self._radices)
 
-    def _digits_to_codes(self, digits: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [
-                self.tower.digits_to_codes(self.field, digits[..., j, :])
-                for j in range(self.law.dim)
-            ],
-            axis=-1,
-        )
+    def _conjugates(self, g_codes: np.ndarray, h_codes: np.ndarray) -> np.ndarray:
+        """Ordinals of h^{-1} g h, broadcasting over the leading axes."""
+        law, tab = self.law, self.tables
+        h_inv = _eval_inv_codes(law, tab, h_codes)
+        conj = _eval_mul_codes(law, tab, h_inv, _eval_mul_codes(law, tab, g_codes, h_codes))
+        return self._ordinals_of_codes(conj)
 
-    def combine(self, codes: np.ndarray) -> np.ndarray:
-        out = np.zeros(codes.shape[:-1], dtype=np.int64)
-        for j in range(self.law.dim):
-            out = out * self.level_order + codes[..., j]
-        return out
+    def digits(self, ordinals) -> np.ndarray:
+        """Digit arrays (..., d, k) of the elements with these ordinals."""
+        return all_tuples(self.tower, self.field, self.law.dim, ordinals)
+
+    def ordinals(self, digits: np.ndarray) -> np.ndarray:
+        """Ordinals of the elements with these digit arrays (..., d, k)."""
+        return self._ordinals_of_codes(self.tower.digits_to_codes(self.field, digits))
 
     def point(self, ordinal: int) -> Point:
-        digs = self._codes_to_digits(self.codes[check_index(ordinal, self.order)])
-        return digits_point(self.field, digs)
+        return digits_point(self.field, self.digits(check_index(ordinal, self.order)))
 
     def index_of(self, pt: Point) -> int:
-        if pt.field != self.field:
-            raise ParameterError("point is not at this view's level")
-        codes = self._digits_to_codes(point_digits(pt))
-        return int(self.combine(codes))
+        if pt.field != self.field or len(pt.coords) != self.law.dim:
+            raise ParameterError("point is not at this view's level or not of its dimension")
+        return int(self.ordinals(point_digits(pt)))
 
     def points(self):
         for i in range(self.order):
@@ -259,39 +250,32 @@ class FiniteGroupView:
 
     # ---- whole-group conjugation kernels ----
 
-    def conjugates_combined(self, g_codes: np.ndarray) -> np.ndarray:
-        """Combined codes of h^{-1} g h over all h, in ordinal order."""
-        h_inv = _eval_inv_codes(self.law, self.tables, self.codes)
-        return self.combine(_conj_codes(self.law, self.tables, h_inv, g_codes[None, :], self.codes))
+    def conjugates_combined(self, g: int) -> np.ndarray:
+        """Ordinals of h^{-1} g h over all h, in ordinal order."""
+        return self._conjugates(self._codes[[g]], self._codes)
 
-    def conjugation_by(self, s_codes: np.ndarray) -> np.ndarray:
-        """Combined codes of s^{-1} g s over all g, in ordinal order.
+    def conjugation_by(self, s: int) -> np.ndarray:
+        """Ordinals of s^{-1} g s over all g, in ordinal order.
 
         Conjugation by s is an automorphism, so this is a permutation of
         the ordinals.
         """
-        s_inv = _eval_inv_codes(self.law, self.tables, s_codes)[None, :]
-        return self.combine(_conj_codes(self.law, self.tables, s_inv, self.codes, s_codes[None, :]))
+        return self._conjugates(self._codes, self._codes[[s]])
 
     def axis_generators(self) -> np.ndarray:
-        """Codes of the d*deg axis points t*e_i, t over the F_p-basis of
-        the level: one row per generator, coordinate i major."""
+        """Ordinals of the d*deg axis points t*e_i, t over the F_p-basis of
+        the level, coordinate i major: row i*deg + j of the identity
+        matrix is the digit array of t^j*e_i."""
         dim, deg = self.law.dim, self.field.degree
-        basis = self.tower.digits_to_codes(self.field, np.eye(deg, dtype=np.int64))
-        gens = np.zeros((dim, deg, dim), dtype=np.int64)
-        for i in range(dim):
-            gens[i, :, i] = basis
-        return gens.reshape(dim * deg, dim)
+        return self.ordinals(np.eye(dim * deg, dtype=np.int64).reshape(-1, dim, deg))
 
     # ---- conjugator search by prefix filtering ----
 
-    def _feasible_prefixes(
-        self, g_rows: np.ndarray, t_rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The prefixes h_{<d} with g h = h t, for every row pair at once.
+    def _feasible_prefixes(self, g: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The prefixes h_{<d} with g h = h t, for every ordinal pair at once.
 
-        Returns (seg, prefix): prefix[k] is the combined code of
-        h_1..h_{d-1} and seg[k] the row it solves, sorted by (seg,
+        Returns (seg, prefix): prefix[k] is the C-order index of the codes
+        of h_1..h_{d-1} and seg[k] the pair it solves, sorted by (seg,
         prefix).  Coordinate i of g h = h t involves only h_{<i}, so the
         first coordinates must agree outright, each level extends every
         surviving prefix by all q^m values of the next coordinate in
@@ -300,6 +284,7 @@ class FiniteGroupView:
         bound the temporaries.
         """
         law, big_q = self.law, self.level_order
+        g_rows, t_rows = self._codes[g], self._codes[t]
         seg = np.nonzero(g_rows[:, 0] == t_rows[:, 0])[0]
         prefix = np.zeros(seg.size, dtype=np.int64)
         # no block holds more candidates than a whole-group pass has rows
@@ -308,32 +293,32 @@ class FiniteGroupView:
         for i in range(1, law.dim):
             if not seg.size:
                 break
-            # ordinal of (h_1..h_i, 0, ..., 0) is the prefix code times stride
+            # ordinal of (h_1..h_i, 0, ..., 0) is the prefix index times stride
             stride = big_q ** (law.dim - i)
             kept_seg, kept_prefix = [], []
             for lo in range(0, seg.size, step):
                 s = np.repeat(seg[lo : lo + step], big_q)
                 cand = (prefix[lo : lo + step, None] * big_q + values).ravel()
                 ok = _coordinate_agrees(
-                    law.mul[i], self.tables, g_rows[s], self.codes[cand * stride], t_rows[s]
+                    law.mul[i], self.tables, g_rows[s], self._codes[cand * stride], t_rows[s]
                 )
                 kept_seg.append(s[ok])
                 kept_prefix.append(cand[ok])
             seg, prefix = np.concatenate(kept_seg), np.concatenate(kept_prefix)
         return seg, prefix
 
-    def find_conjugators(self, g_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
-        """Least ordinal h with h^{-1} g h = t per row of codes, -1 where
-        there is none: the first feasible prefix, with h_d = 0."""
-        seg, prefix = self._feasible_prefixes(g_rows, t_rows)
-        found = np.full(len(g_rows), -1, dtype=np.int64)
+    def find_conjugators(self, g: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Least ordinal h with h^{-1} g h = t per pair of ordinals, -1
+        where there is none: the first feasible prefix, with h_d = 0."""
+        seg, prefix = self._feasible_prefixes(g, t)
+        found = np.full(len(g), -1, dtype=np.int64)
         rows, first = np.unique(seg, return_index=True)
         found[rows] = prefix[first] * self.level_order
         return found
 
-    def find_conjugator(self, g_codes: np.ndarray, target_codes: np.ndarray) -> int | None:
+    def find_conjugator(self, g: int, target: int) -> int | None:
         """Least ordinal h with h^{-1} g h = target, or None."""
-        found = int(self.find_conjugators(g_codes[None, :], target_codes[None, :])[0])
+        found = int(self.find_conjugators([g], [target])[0])
         return None if found < 0 else found
 
 
@@ -435,8 +420,8 @@ def centralizer(view: FiniteGroupView, g: Point) -> np.ndarray:
 
     Z(g) is the feasible prefixes h_{<d} times every value of h_d.
     """
-    codes = view.codes[view.index_of(g)][None, :]  # index_of checks the level
-    _, prefix = view._feasible_prefixes(codes, codes)
+    ordinal = [view.index_of(g)]  # index_of checks the level and dimension
+    _, prefix = view._feasible_prefixes(ordinal, ordinal)
     big_q = view.level_order
     return (prefix[:, None] * big_q + np.arange(big_q, dtype=np.int64)).ravel()
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asaitwist import fields as fields_module
 from asaitwist.errors import CapExceeded, IncompatibleFields, ParameterError
 from asaitwist.fields import _BRUTE_ROOT_BOUND, FieldId, FieldTower
 
@@ -113,6 +114,37 @@ def test_moduli_and_frobenius_match_long_division_oracle(p, k):
     frob = tower.vfrob(fid, np.eye(k, dtype=np.int64), 1)
     for i in range(k):
         assert frob[i].tolist() == _poly_mod([0] * (i * p) + [1], least, p)
+
+
+def test_degree_64_modulus_is_code_least():
+    """Past p^(k-1) = 2^63 the code order still holds: t^64 + t^4 + t^3 +
+    t + 1 (code 27) is the modulus, and every monic degree-64 candidate
+    with a smaller code fails Rabin's test."""
+    tower = FieldTower(2)
+    expected = (1, 1, 0, 1, 1) + (0,) * 59 + (1,)
+    assert tower.modulus(tower.make_field(64)) == expected
+    for code in range(27):
+        f = np.array([code >> i & 1 for i in range(64)] + [1], dtype=np.int64)
+        assert not tower._is_irreducible(f)
+
+
+def test_least_irreducible_evaluates_each_upper_part_once(monkeypatch):
+    """At p = 20021 = 2 (mod 3) every t^3 + c has a root, so the root
+    filter must not evaluate each constant on F_p: one evaluation of
+    t^3 and one of t^3 + t find t^3 + t + 7, the first constant outside
+    -(x^3 + x)(F_p)."""
+    p = 20021
+    calls = []
+    values = fields_module._values_on_prime_field
+    monkeypatch.setattr(
+        fields_module, "_values_on_prime_field", lambda *args: calls.append(1) or values(*args)
+    )
+    tower = FieldTower(p)
+    assert tower.modulus(tower.make_field(3)) == (7, 1, 0, 1)
+    assert len(calls) == 2
+    assert {-(x**3) % p for x in range(p)} == set(range(p))
+    assert set(range(1, 7)) <= {-(x**3 + x) % p for x in range(p)}
+    assert 7 not in {-(x**3 + x) % p for x in range(p)}
 
 
 @pytest.mark.parametrize(

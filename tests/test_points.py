@@ -20,6 +20,7 @@ from asaitwist.grouplaw import (
 )
 from asaitwist.points import (
     FiniteGroupView,
+    Point,
     centralizer,
     centralizer_counts,
     conjugacy_classes,
@@ -59,7 +60,7 @@ def seed_orbit_classes(view):
     for seed in range(view.order):
         if class_of[seed] >= 0:
             continue
-        orbit = np.unique(view.conjugates_combined(view.codes[seed]))
+        orbit = np.unique(view.conjugates_combined(seed))
         class_of[orbit] = len(reps)
         reps.append(seed)
         members.append(orbit)
@@ -69,7 +70,7 @@ def seed_orbit_classes(view):
 def scan_conjugators(view, g):
     """Oracle: one whole-group conjugation pass gives the least h with
     h^{-1} g h = t for every t (-1 where there is none) and Z(g)."""
-    conj = view.conjugates_combined(view.codes[g])
+    conj = view.conjugates_combined(g)
     least = np.full(view.order, -1, dtype=np.int64)
     targets, first = np.unique(conj, return_index=True)
     least[targets] = first
@@ -82,7 +83,7 @@ def assert_search_matches_scan(view):
     identity, all against the scan."""
     n = view.order
     g, t = np.divmod(np.arange(n * n), n)
-    found = view.find_conjugators(view.codes[g], view.codes[t]).reshape(n, n)
+    found = view.find_conjugators(g, t).reshape(n, n)
     for gi in range(n):
         least, cent = scan_conjugators(view, gi)
         assert found[gi].tolist() == least.tolist()
@@ -90,7 +91,7 @@ def assert_search_matches_scan(view):
         last = int(np.nonzero(least >= 0)[0][-1])
         for ti in (last, 0):
             expected = int(least[ti]) if least[ti] >= 0 else None
-            assert view.find_conjugator(view.codes[gi], view.codes[ti]) == expected
+            assert view.find_conjugator(gi, ti) == expected
 
 
 def assert_classes_match_oracle(view):
@@ -126,11 +127,8 @@ def axis_closure_size(view) -> int:
     right multiplication from the identity."""
     law, tower, fid = view.law, view.tower, view.field
     elems = all_tuples(tower, fid, law.dim)
-    gens = view._codes_to_digits(view.axis_generators())
-    steps = [
-        view.combine(view._digits_to_codes(eval_mul(law, tower, fid, elems, s[None])))
-        for s in gens
-    ]
+    gens = view.digits(view.axis_generators())
+    steps = [view.ordinals(eval_mul(law, tower, fid, elems, s[None])) for s in gens]
     reached = np.zeros(view.order, dtype=bool)
     reached[0] = True
     frontier = np.array([0])
@@ -354,6 +352,50 @@ def test_centralizer_wrong_level(n2_f3):
         centralizer(view, other.point(1))
 
 
+def test_index_of_rejects_a_point_of_the_wrong_dimension(n2_f3):
+    """A point with one coordinate too many or too few is not an element
+    of the view: it must not be truncated to g, nor fail inside numpy."""
+    _, _, view, _ = n2_f3
+    g = view.point(5)
+    for pt in (Point(g.coords + g.coords[:1]), Point(g.coords[:1])):
+        with pytest.raises(ParameterError):
+            view.index_of(pt)
+        with pytest.raises(ParameterError):
+            centralizer(view, pt)
+
+
+def assert_ordinal_rule(view):
+    """digits() and ordinals() invert each other on every ordinal, digits()
+    of the whole range is all_tuples and is mixed-radix in the codes with
+    coordinate 1 most significant, and the axis generators are the
+    points t^j*e_i, coordinate i major."""
+    tower, fid, dim = view.tower, view.field, view.law.dim
+    every = np.arange(view.order)
+    digits = view.digits(every)
+    assert digits.shape == (view.order, dim, fid.degree)
+    assert view.ordinals(digits).tolist() == every.tolist()
+    assert np.array_equal(digits, all_tuples(tower, fid, dim))
+    place = view.level_order ** np.arange(dim - 1, -1, -1)
+    assert (tower.digits_to_codes(fid, digits) @ place).tolist() == every.tolist()
+    axes = np.eye(dim * fid.degree, dtype=np.int64).reshape(-1, dim, fid.degree)
+    assert np.array_equal(view.digits(view.axis_generators()), axes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_dsl_law(groups=BUILTINS + ["ga_power(4)"], primes=(2, 3, 5)))
+def test_ordinal_rule_on_random_laws(case):
+    law, q, _ = case
+    assert_ordinal_rule(enumerate_group(law, FieldTower(law.p), q, 2))
+
+
+@pytest.mark.parametrize(
+    "group,q,m", [("ul(3)", 2, 2), ("ul(4)", 2, 2), ("n2", 4, 1), ("ga_power(2)", 3, 2)]
+)
+def test_ordinal_rule_on_builtins(group, q, m):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    assert_ordinal_rule(enumerate_group(parse_group_name(group, p), FieldTower(p), q, m))
+
+
 def test_conjugation_kernels_match_scalar_oracle():
     """The lookup-table kernel and the prefix filter on ul(3), n2, the
     commutative ga_power(1) and ga_power(2), and a commutative law with a
@@ -374,15 +416,15 @@ def test_conjugation_kernels_match_scalar_oracle():
         mul = [[view.index_of(ops.mul(a, b)) for b in pts] for a in pts]
         inv = [view.index_of(ops.inv(a)) for a in pts]
         g_all, t_all = np.divmod(np.arange(n * n), n)
-        found = view.find_conjugators(view.codes[g_all], view.codes[t_all]).reshape(n, n)
+        found = view.find_conjugators(g_all, t_all).reshape(n, n)
         for g in range(n):
             conj = [mul[inv[h]][mul[g][h]] for h in range(n)]
-            assert view.conjugates_combined(view.codes[g]).tolist() == conj
+            assert view.conjugates_combined(g).tolist() == conj
             assert found[g].tolist() == scan_conjugators(view, g)[0].tolist()
             assert set(conj) == set(table.members[table.class_of[g]].tolist())
             for t in range(n):
                 least = conj.index(t) if t in conj else None
-                assert view.find_conjugator(view.codes[g], view.codes[t]) == least
+                assert view.find_conjugator(g, t) == least
             cent = [h for h in range(n) if mul[g][h] == mul[h][g]]
             assert centralizer(view, pts[g]).tolist() == cent
 
@@ -479,8 +521,8 @@ def test_commutative_views_build_no_code_tables():
         assert not norm_map(conjugacy_classes(view)).witness_errors
         assert "tables" not in vars(view)
     view = enumerate_group(laws[0], FieldTower(2), 2, 3)
-    assert view.find_conjugator(view.codes[5], view.codes[5]) == 0
-    assert view.find_conjugator(view.codes[5], view.codes[6]) is None
+    assert view.find_conjugator(5, 5) == 0
+    assert view.find_conjugator(5, 6) is None
     assert centralizer(view, view.point(5)).tolist() == list(range(8))
     assert "tables" not in vars(view)
     view = enumerate_group(parse_group_name("ul(3)", 2), FieldTower(2), 2, 1)
@@ -495,13 +537,13 @@ def test_class_pass_makes_one_conjugation_pass_per_generator(monkeypatch):
     calls = {"by": 0, "combined": 0}
     by, combined = FiniteGroupView.conjugation_by, FiniteGroupView.conjugates_combined
 
-    def counted_by(self, s_codes):
+    def counted_by(self, s):
         calls["by"] += 1
-        return by(self, s_codes)
+        return by(self, s)
 
-    def counted_combined(self, g_codes):
+    def counted_combined(self, g):
         calls["combined"] += 1
-        return combined(self, g_codes)
+        return combined(self, g)
 
     monkeypatch.setattr(FiniteGroupView, "conjugation_by", counted_by)
     monkeypatch.setattr(FiniteGroupView, "conjugates_combined", counted_combined)
@@ -527,8 +569,8 @@ def assert_central_axes_are_central(law, q, m):
     identity, and every axis that no cocycle involves is marked."""
     view = enumerate_group(law, FieldTower(law.p), q, m)
     central = points_module._central_axes(law)
-    gens = view.axis_generators().reshape(law.dim, view.field.degree, law.dim)
-    for s in gens[central].reshape(-1, law.dim):
+    gens = view.axis_generators().reshape(law.dim, view.field.degree)
+    for s in gens[central].ravel():
         assert view.conjugation_by(s).tolist() == list(range(view.order))
     cocycles = grouplaw_module._check_triangular(law.p, law.dim, law.mul)
     involved = set().union(*(h.coordinate_indices() for h in cocycles))
