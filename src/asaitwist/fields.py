@@ -230,6 +230,8 @@ class FieldTower:
             raise CapExceeded(
                 f"degree {degree} exceeds the tower cap {self.degree_cap}"
             )
+        if (2 * degree - 1) * (self.p - 1) ** 2 >= 1 << 63:
+            raise CapExceeded(f"degree {degree} over F_{self.p} overflows vmul's int64 sums")
         if degree not in self._levels:
             modulus = self._least_irreducible(degree)
             self._levels[degree] = _Level(self.p, degree, modulus)
@@ -247,14 +249,15 @@ class FieldTower:
     def _least_irreducible(self, k: int) -> np.ndarray:
         """The code-least monic irreducible of degree k: upper parts g =
         c_1 t + ... + t^k in code order, as Python integers so no degree
-        overflows, each evaluated once on F_p, then the constants c_0 != 0
-        outside -g(F_p) (no root in F_p), smallest first."""
+        overflows, each evaluated once on F_p, then the constants c_0
+        outside -g(F_p) (no root in F_p, and never 0 = -g(0)), smallest first."""
         p = self.p
         if k == 1:
             return np.array([0, 1], dtype=np.int64)  # t itself: F_p[t]/(t)
         for upper in product(range(p), repeat=k - 1):
             coeffs = np.array([0, *upper[::-1], 1], dtype=np.int64)
-            for c0 in np.setdiff1d(np.arange(1, p), -_values_on_prime_field(coeffs, p) % p):
+            roots = -_values_on_prime_field(coeffs, p) % p
+            for c0 in np.flatnonzero(~np.isin(np.arange(p), roots)):
                 coeffs[0] = c0
                 if self._is_irreducible(coeffs):
                     return coeffs
@@ -337,6 +340,8 @@ class FieldTower:
                 conv[..., i : i + k] += a[..., i : i + 1] * b
         if k == 1:
             return conv % self.p
+        if k * k * (self.p - 1) ** 3 >= 1 << 63:  # unreduced, conv[..., k:] @ red could wrap
+            conv[..., k:] %= self.p
         return (conv[..., :k] + conv[..., k:] @ lvl.red) % self.p
 
     def vpow(self, fid: FieldId, a: np.ndarray, e: int) -> np.ndarray:
@@ -353,15 +358,17 @@ class FieldTower:
         """Boolean mask: which rows lie in F_{p^sub_degree}."""
         return np.all(self.vfrob(fid, a, sub_degree) == a, axis=-1)
 
-    def codes_to_digits(self, fid: FieldId, codes: np.ndarray) -> np.ndarray:
-        weights = self.p ** np.arange(fid.degree, dtype=np.int64)
-        return (np.asarray(codes, dtype=np.int64)[..., None] // weights) % self.p
-
-    def digits_to_codes(self, fid: FieldId, digits: np.ndarray) -> np.ndarray:
+    def _code_weights(self, fid: FieldId) -> np.ndarray:
+        """p^0, ..., p^(k-1): the place values of an element code."""
         if fid.degree * np.log2(self.p) > 62:
             raise CapExceeded("field too large for int64 element codes")
-        weights = self.p ** np.arange(fid.degree, dtype=np.int64)
-        return np.asarray(digits, dtype=np.int64) @ weights
+        return self.p ** np.arange(fid.degree, dtype=np.int64)
+
+    def codes_to_digits(self, fid: FieldId, codes: np.ndarray) -> np.ndarray:
+        return (np.asarray(codes, dtype=np.int64)[..., None] // self._code_weights(fid)) % self.p
+
+    def digits_to_codes(self, fid: FieldId, digits: np.ndarray) -> np.ndarray:
+        return np.asarray(digits, dtype=np.int64) @ self._code_weights(fid)
 
     # ---- embeddings ----
 

@@ -5,7 +5,8 @@ coordinates of the product.  Accepted laws are triangular: coordinate i
 equals x_i + y_i + h_i where h_i involves only coordinates j < i.  That
 shape guarantees the identity sits at the origin, inverses are derivable
 coordinate by coordinate, and the Lang equation reduces to one
-Artin-Schreier equation per coordinate.
+Artin-Schreier equation per coordinate.  A law's conj, the coordinates
+of y^{-1} x y, is composed from inv and mul on first read.
 
 The text DSL:
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,19 +102,16 @@ class Polynomial:
         return power(self, e, Polynomial.mul, one)
 
     def subs(self, mapping: dict[int, "Polynomial"]) -> "Polynomial":
-        """Substitute polynomials for variables by index."""
-        out = Polynomial.zero(self.p, self.nvars)
+        """Substitute polynomials for variables by index, canonicalizing once."""
+        raw = []
         for coeff, exps in self.terms:
-            term = Polynomial.make(self.p, self.nvars, [(coeff, (0,) * self.nvars)])
+            kept = tuple(0 if idx in mapping else e for idx, e in enumerate(exps))
+            term = Polynomial(self.p, self.nvars, ((coeff, kept),))
             for idx, e in enumerate(exps):
-                if not e:
-                    continue
-                rep = mapping.get(idx)
-                if rep is None:
-                    rep = Polynomial.variable(self.p, self.nvars, idx)
-                term = term.mul(rep.pow(e))
-            out = out.add(term)
-        return out
+                if e and idx in mapping:
+                    term = term.mul(mapping[idx].pow(e))
+            raw.extend(term.terms)
+        return Polynomial.make(self.p, self.nvars, raw)
 
     def coordinate_indices(self) -> set[int]:
         """Coordinate numbers (0-based) of all variables that occur."""
@@ -124,16 +123,11 @@ class Polynomial:
                     used.add(idx if idx < d else idx - d)
         return used
 
-    def only_x(self) -> "Polynomial":
-        """Terms free of every y variable (i.e. the value at y = 0)."""
-        d = self.nvars // 2
-        keep = [(c, e) for c, e in self.terms if not any(e[d:])]
-        return Polynomial.make(self.p, self.nvars, keep)
-
-    def only_y(self) -> "Polynomial":
-        d = self.nvars // 2
-        keep = [(c, e) for c, e in self.terms if not any(e[:d])]
-        return Polynomial.make(self.p, self.nvars, keep)
+    def without(self, variables) -> "Polynomial":
+        """The value at zero of these variables: the terms free of them."""
+        idx = list(variables)
+        keep = [(c, e) for c, e in self.terms if not any(e[j] for j in idx)]
+        return Polynomial(self.p, self.nvars, tuple(keep))
 
     def evaluate(
         self,
@@ -188,6 +182,15 @@ class GroupLaw:
     family: str | None = field(default=None, compare=False)
     params: tuple[int, ...] = field(default=(), compare=False)
 
+    @cached_property
+    def conj(self) -> tuple[Polynomial, ...]:
+        """Coordinates of y^{-1} x y: inv(y) and mul(x, y) substituted into mul."""
+        d = self.dim
+        _, y = _variables(self.p, d)
+        inv_y = [poly.subs({j: y[j] for j in range(d)}) for poly in self.inv]
+        images = {j: inv_y[j] for j in range(d)} | {d + j: self.mul[j] for j in range(d)}
+        return tuple(poly.subs(images) for poly in self.mul)
+
 
 def _variables(p: int, dim: int) -> tuple[list[Polynomial], list[Polynomial]]:
     """The variables x_1..x_d and y_1..y_d of a law of dimension d."""
@@ -198,12 +201,12 @@ def _variables(p: int, dim: int) -> tuple[list[Polynomial], list[Polynomial]]:
 def _check_identity_polys(p: int, dim: int, mul: tuple[Polynomial, ...]) -> None:
     x, y = _variables(p, dim)
     for i, poly in enumerate(mul):
-        if poly.only_x().sub(x[i]).terms:
+        if poly.without(range(dim, 2 * dim)) != x[i]:
             raise GroupLawSemanticError(
                 f"coordinate {i + 1}: mul(x, 0) != x, identity is not the origin",
                 coordinate=i + 1,
             )
-        if poly.only_y().sub(y[i]).terms:
+        if poly.without(range(dim)) != y[i]:
             raise GroupLawSemanticError(
                 f"coordinate {i + 1}: mul(0, y) != y, identity is not the origin",
                 coordinate=i + 1,

@@ -51,6 +51,12 @@ class LangWitness:
     n_multiplier: int
 
 
+def _lang_map(law: GroupLaw, tower: FieldTower, fid: FieldId, x, e: int) -> np.ndarray:
+    """x * F^e(x)^{-1} on digit arrays (..., d, k) over fid, F the p-power map."""
+    fx = tower.vfrob(fid, x, e)
+    return eval_mul(law, tower, fid, x, eval_inv(law, tower, fid, fx))
+
+
 def default_degree_cap(law: GroupLaw, q: int, m: int) -> int:
     """Bound on the witness degree: triangular solving extends at most
     p-fold per coordinate, so no witness needs more than p^dim times the
@@ -82,8 +88,7 @@ def lang_solve_batch(
         solved: dict[int, list] = {}
         for degree, (rows, xt) in levels.items():
             cur = FieldId(law.p, degree)
-            fx = tower.vfrob(cur, xt, base.degree)
-            z = eval_mul(law, tower, cur, xt, eval_inv(law, tower, cur, fx))
+            z = _lang_map(law, tower, cur, xt, base.degree)
             c = (z[:, i] - tower.vembed(base, cur, g[rows, i])) % law.p
             for fid, sel, t in tower.vartin_schreier_solve(cur, c, base.degree):
                 if fid.degree > degree:
@@ -100,8 +105,7 @@ def lang_solve_batch(
     groups = []
     for degree, (rows, x) in levels.items():
         fid = FieldId(law.p, degree)
-        fx = tower.vfrob(fid, x, base.degree)
-        lang = eval_mul(law, tower, fid, x, eval_inv(law, tower, fid, fx))
+        lang = _lang_map(law, tower, fid, x, base.degree)
         if not np.array_equal(lang, tower.vembed(base, fid, g[rows])):
             raise InternalInconsistencyError("triangular Lang witness failed to verify")
         groups.append((fid, rows, x))
@@ -142,8 +146,7 @@ def lang_solve_bruteforce(
         for start in range(0, order, _BRUTE_CHUNK):
             codes = np.arange(start, min(start + _BRUTE_CHUNK, order), dtype=np.int64)
             xs = all_tuples(tower, fid, law.dim, codes)
-            fx = tower.vfrob(fid, xs, base)
-            lang = eval_mul(law, tower, fid, xs, eval_inv(law, tower, fid, fx))
+            lang = _lang_map(law, tower, fid, xs, base)
             mask = np.all(lang == ge[None], axis=(-2, -1))
             hits = np.nonzero(mask)[0]
             if hits.size:
@@ -156,10 +159,8 @@ def verify_witness(law: GroupLaw, tower: FieldTower, w: LangWitness) -> bool:
     """Re-evaluate x * F^m(x)^{-1} and compare with g at a common level;
     False when x's field does not extend g's."""
     try:
-        xd = point_digits(w.x)
         fid = w.x.field
-        fx = tower.vfrob(fid, xd, w.g.field.degree)
-        lang = eval_mul(law, tower, fid, xd, eval_inv(law, tower, fid, fx))
+        lang = _lang_map(law, tower, fid, point_digits(w.x), w.g.field.degree)
         ge = tower.vembed(w.g.field, fid, point_digits(w.g))
         return bool(np.array_equal(lang, ge))
     except IncompatibleFields:

@@ -9,14 +9,14 @@ convert).  The ordinal is the C-order index of the coordinate codes
 (coordinate 1 most significant), so list position, lookup key and
 canonical order all coincide.
 
-The codes are the private form of the kernels here.  Conjugation has
-one backend: add/mul lookup tables over the codes of F_{q^m}, so a
-whole-group conjugation pass is a handful of fancy-indexing operations.
-A view builds its tables the first time they are read, and nothing but
-the conjugates_combined oracle reads them for a law of dimension 1
-(x1 + y1, since it is triangular), so tables the pipeline builds have
-(q^m)^2 <= (q^m)^d = |G| entries.  Class tables are immutable after
-construction.
+The codes are the private form of the kernels here.  Conjugation is
+the law's conj map, with one backend: add/mul lookup tables over the
+codes of F_{q^m}, so a whole-group conjugation pass is a handful of
+fancy-indexing operations.  A view builds its tables the first time
+they are read, and nothing but the conjugates_combined oracle reads
+them for a law of dimension 1 (x1 + y1, since it is triangular), so
+tables the pipeline builds have (q^m)^2 <= (q^m)^d = |G| entries.
+Class tables are immutable after construction.
 
 Conjugacy classes are the orbits of conjugation by the d*deg axis
 generators t*e_i (t over an F_p-basis of F_{q^m}, deg its size), found
@@ -24,16 +24,17 @@ by min-label propagation with pointer jumping: one conjugation pass per
 generator, not one per class.  The axis points generate G: the points
 with x_{<i} = 0 form a subgroup K_i, coordinate i is additive on K_i,
 and its kernel there is K_{i+1}.  Axis i is central, and its generators
-get no pass, when t*e_i * y = y * t*e_i as polynomials in t and y: so is
-every axis no cocycle involves (always axis d), and every axis of a
+get no pass, when conj at y_k = 0 for every k != i is x: so is every
+axis no cocycle involves (always axis d), and every axis of a
 commutative law, whose class pass is then no pass at all.
 
-Conjugator search and centralizers never conjugate by every h.  In
-(xy)_i = x_i + y_i + f_i(x_{<i}, y_{<i}) the h_i of g h = h t cancels,
-so coordinate i constrains only h_{<i}: a breadth-first filter over
-coordinate prefixes, taking every row of a batch at once and expanding
-at most min(_CHUNK, |G|) candidates at a time, finds every feasible
-h_{<d}, and h_d is free.
+Conjugator search and centralizers never conjugate by every h.  The
+h_i of h^{-1} g h cancels, so coordinate i of conj involves only
+h_{<i}, and checking h^{-1} g h = t one coordinate at a time is exact
+(the first i coordinates of a triangular law form a quotient group): a
+breadth-first filter over coordinate prefixes, taking every row of a
+batch at once and expanding at most min(_CHUNK, |G|) candidates at a
+time, finds every feasible h_{<d}, and h_d is free.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ class _CodeTables:
         self.mul = mul
 
 
-def _eval_poly_codes(poly: Polynomial, tab: _CodeTables, x, y=None) -> np.ndarray:
+def _eval_poly_codes(poly: Polynomial, tab: _CodeTables, x, y) -> np.ndarray:
     d = poly.nvars // 2
-    shape = np.broadcast_shapes(x.shape[:-1], () if y is None else y.shape[:-1])
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
     acc = np.zeros(shape, dtype=np.int32)
     for coeff, exps in poly.terms:
         term = None
@@ -165,17 +166,9 @@ def _eval_poly_codes(poly: Polynomial, tab: _CodeTables, x, y=None) -> np.ndarra
     return acc
 
 
-def _eval_mul_codes(law: GroupLaw, tab: _CodeTables, x, y) -> np.ndarray:
-    return np.stack([_eval_poly_codes(p, tab, x, y) for p in law.mul], axis=-1)
-
-
-def _eval_inv_codes(law: GroupLaw, tab: _CodeTables, x) -> np.ndarray:
-    return np.stack([_eval_poly_codes(p, tab, x) for p in law.inv], axis=-1)
-
-
 def _coordinate_agrees(poly: Polynomial, tab: _CodeTables, g, h, t) -> np.ndarray:
-    """Rows where coordinate poly of g h equals that of h t."""
-    return _eval_poly_codes(poly, tab, g, h) == _eval_poly_codes(poly, tab, h, t)
+    """Rows where the coordinate of h^{-1} g h that poly gives equals t."""
+    return _eval_poly_codes(poly, tab, g, h) == t
 
 
 class FiniteGroupView:
@@ -218,12 +211,12 @@ class FiniteGroupView:
     def _ordinals_of_codes(self, codes: np.ndarray) -> np.ndarray:
         return np.ravel_multi_index(tuple(np.moveaxis(codes, -1, 0)), self._radices)
 
-    def _conjugates(self, g_codes: np.ndarray, h_codes: np.ndarray) -> np.ndarray:
-        """Ordinals of h^{-1} g h, broadcasting over the leading axes."""
-        law, tab = self.law, self.tables
-        h_inv = _eval_inv_codes(law, tab, h_codes)
-        conj = _eval_mul_codes(law, tab, h_inv, _eval_mul_codes(law, tab, g_codes, h_codes))
-        return self._ordinals_of_codes(conj)
+    def _conjugates(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Ordinals of h^{-1} g h, broadcasting rows of codes: the law's
+        conj without its terms in variables zero on every row."""
+        zero = np.flatnonzero(~np.concatenate([g.any(axis=0), h.any(axis=0)]))
+        conj = [_eval_poly_codes(c.without(zero), self.tables, g, h) for c in self.law.conj]
+        return self._ordinals_of_codes(np.stack(conj, axis=-1))
 
     def digits(self, ordinals) -> np.ndarray:
         """Digit arrays (..., d, k) of the elements with these ordinals."""
@@ -300,7 +293,7 @@ class FiniteGroupView:
                 s = np.repeat(seg[lo : lo + step], big_q)
                 cand = (prefix[lo : lo + step, None] * big_q + values).ravel()
                 ok = _coordinate_agrees(
-                    law.mul[i], self.tables, g_rows[s], self._codes[cand * stride], t_rows[s]
+                    law.conj[i], self.tables, g_rows[s], self._codes[cand * stride], t_rows[s, i]
                 )
                 kept_seg.append(s[ok])
                 kept_prefix.append(cand[ok])
@@ -395,17 +388,12 @@ def conjugacy_classes(view: FiniteGroupView) -> ClassTable:
 
 
 def _central_axes(law: GroupLaw) -> np.ndarray:
-    """Axes i with t*e_i * y = y * t*e_i as polynomials in t and y: for
-    every j, the terms of mul_j whose x-exponents vanish off axis i equal
-    the terms kept the same way from mul_j with x and y swapped."""
+    """Axes i with y^{-1} x y = x for y on axis i, as polynomials: the
+    conj coordinates at y_k = 0 for every k != i are the variables x."""
     d = law.dim
-
-    def on_axis(terms, i):
-        return {(c, e) for c, e in terms if not any(e[:i]) and not any(e[i + 1 : d])}
-
-    swapped = [[(c, e[d:] + e[:d]) for c, e in poly.terms] for poly in law.mul]
+    x = [Polynomial.variable(law.p, 2 * d, j) for j in range(d)]
     return np.array([
-        all(on_axis(poly.terms, i) == on_axis(sw, i) for poly, sw in zip(law.mul, swapped))
+        [poly.without(d + k for k in range(d) if k != i) for poly in law.conj] == x
         for i in range(d)
     ])
 

@@ -359,6 +359,17 @@ def test_validate_samples_every_check_at_q_65536(runner):
     assert "ok   inverse (1000 sampled points)" in lines
 
 
+@pytest.mark.parametrize("p,code", [(3000017, 0), (1760000027, 4)])
+def test_heisenberg_law_at_a_large_characteristic(runner, tmp_path, p, code):
+    """Field products stay exact at p = 3000017; at the least prime above
+    1.76e9 the degree-2 level would overflow them, so validate stops with
+    exit 4."""
+    law = tmp_path / "big.law"
+    law.write_text(f"group big dim 2 char {p}\nmul[1] = x1 + y1\nmul[2] = x2 + y2 + x1 * y1\n")
+    res = invoke(runner, ["validate", "--dsl", str(law), "--q", str(p)])
+    assert res.exit_code == code
+
+
 def test_dsl_law_at_q_65536_validates_then_hits_the_cap(runner, tmp_path):
     law = tmp_path / "ul3.law"
     law.write_text(canonical_text(builtin("ul", 2, 3)))

@@ -196,6 +196,39 @@ def test_make_field_cap():
         tower.make_field(0)
 
 
+@pytest.mark.parametrize("p,k", [(3000017, 2), (3000017, 3), (1321109, 2), (1008199, 3)])
+def test_vmul_matches_python_integers_at_a_large_prime(p, k):
+    """At p = 3000017 an unreduced high half times the reduction rows
+    wraps int64, so vmul reduces it first; the largest primes where it
+    skips that step, k^2 (p-1)^3 < 2^63, stay exact without it."""
+    tower = FieldTower(p)
+    fid = tower.make_field(k)
+    a, b = np.random.default_rng(k).integers(0, p, size=(2, 200, k))
+    a[0] = b[0] = p - 1
+    for u, v, got in zip(a.tolist(), b.tolist(), tower.vmul(fid, a, b).tolist()):
+        prod = [sum(u[i] * v[j - i] for i in range(k) if 0 <= j - i < k) for j in range(2 * k - 1)]
+        assert got == _poly_mod(prod, tower.modulus(fid), p)
+
+
+def test_make_field_refuses_degrees_whose_products_wrap_int64():
+    """Degree 2 over the least prime above 1.76e9 would sum 3(p-1)^2 >=
+    2^63 in vmul; degree 1, (p-1)^2, still fits."""
+    p = next(n for n in range(1_760_000_001, 1_760_001_001, 2) if fields_module.is_prime(n))
+    assert 3 * (p - 1) ** 2 >= 1 << 63 > (p - 1) ** 2
+    tower = FieldTower(p)
+    with pytest.raises(CapExceeded):
+        tower.make_field(2)
+
+
+def test_element_codes_refuse_fields_past_62_bits():
+    tower = FieldTower(2)
+    fid = FieldId(2, 64)
+    with pytest.raises(CapExceeded):
+        tower.codes_to_digits(fid, 5)
+    with pytest.raises(CapExceeded):
+        tower.digits_to_codes(fid, np.zeros(64, dtype=np.int64))
+
+
 def test_nonprime_characteristic_rejected():
     with pytest.raises(ParameterError):
         FieldTower(4)

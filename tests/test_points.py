@@ -13,6 +13,7 @@ from asaitwist import points as points_module
 from asaitwist.grouplaw import (
     all_tuples,
     builtin,
+    eval_inv,
     eval_mul,
     parse_group_dsl,
     parse_group_name,
@@ -481,6 +482,39 @@ def test_mid_central_law_matches_oracles(p, m):
     assert points_module._central_axes(law).tolist() == [False, False, True, True]
     assert_classes_match_oracle(view)
     assert_search_matches_scan(view)
+
+
+def assert_conj_matches_digit_path(law, q, m):
+    """law.conj on digit arrays equals eval_mul(eval_inv(h), eval_mul(g, h))
+    for every pair (g, h) at one level, and conjugation_by each axis
+    generator gives the ordinals of that composition."""
+    tower = FieldTower(law.p)
+    view = enumerate_group(law, tower, q, m)
+    fid = view.field
+    elems = view.digits(np.arange(view.order))
+    g, h = elems[:, None], elems[None, :]
+    path = eval_mul(law, tower, fid, eval_inv(law, tower, fid, h), eval_mul(law, tower, fid, g, h))
+    conj = np.stack([poly.evaluate(tower, fid, g, h) for poly in law.conj], axis=-2)
+    assert np.array_equal(conj, path)
+    for s in view.axis_generators():
+        assert view.conjugation_by(s).tolist() == view.ordinals(path[:, s]).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_dsl_law(groups=BUILTINS + ["ga_power(4)"], primes=(2, 3, 5)))
+def test_conj_matches_digit_path_on_random_laws(case):
+    assert_conj_matches_digit_path(*case)
+
+
+def test_conj_matches_digit_path_on_builtin_and_dsl_laws():
+    cases = [(parse_group_name(g, p), q, m) for g, p, q, m in (
+        ("n2", 3, 3, 2), ("n2", 5, 5, 1), ("ul(3)", 2, 2, 2), ("ul(4)", 2, 2, 1),
+        ("ga_power(2)", 3, 3, 1),
+    )]
+    cases += [(parse_group_dsl(text), 2, 2) for text in (COMMUTATIVE_COCYCLE, PRODUCT)]
+    cases += [(parse_group_dsl(MID_CENTRAL.format(p=3)), 3, 1)]
+    for law, q, m in cases:
+        assert_conj_matches_digit_path(law, q, m)
 
 
 @pytest.mark.parametrize(
