@@ -14,6 +14,12 @@ choices are deterministic:
   least root (same code order) of the degree-a defining polynomial that
   is compatible with every embedding already present in the tower, so
   that for a | b | c the composite a -> b -> c always equals a -> c;
+* those roots lie in the copy of F_{p^a} in F_{p^b}, ker(Frob^a - 1):
+  when it has at most _BRUTE_ROOT_BOUND elements, the modulus is
+  evaluated on them as combinations of a kernel basis, _ROOT_BLOCK at a
+  time, until one is a root; above that bound a root comes from
+  splitting by F_p-traces over F_{p^b}.  One root's Frobenius orbit is
+  all of them;
 * the Artin-Schreier solver t^{p^e} - t = c returns the code-least
   solution in the smallest field of the chain F_{p^{e s}}, F_{p^{e s p}},
   ... containing one.  It solves whole batches of digit rows at once; the
@@ -45,9 +51,11 @@ from .modp import coset_min, kernel_rref, matpow_mod, power, rref_mod
 
 DEFAULT_DEGREE_CAP = 1024
 
-# fields with at most this many elements are searched by brute force when
-# locating embedding roots; larger ones go through trace splitting
+# embedding roots are searched for by brute force in subfields with at
+# most this many elements, _ROOT_BLOCK candidates at a time; larger
+# subfields go through trace splitting
 _BRUTE_ROOT_BOUND = 4096
+_ROOT_BLOCK = 256
 
 
 def is_prime(n: int) -> bool:
@@ -506,22 +514,28 @@ class FieldTower:
     # ---- roots of a defining polynomial in a bigger field ----
 
     def _subfield_root(self, a: int, b: int) -> np.ndarray:
-        fid_b = FieldId(self.p, b)
+        """A root of the degree-a modulus in F_{p^b}: the first one met
+        in the subfield ker(Frob^a - 1), or one from trace splitting."""
+        p = self.p
+        fid_b = FieldId(p, b)
         fa = self._levels[a].modulus
-        if self.p**b <= _BRUTE_ROOT_BOUND:
-            codes = np.arange(self.p**b, dtype=np.int64)
-            xs = self.codes_to_digits(fid_b, codes)
+        if p**a > _BRUTE_ROOT_BOUND:
+            h = np.zeros((a + 1, b), dtype=np.int64)
+            h[:, 0] = fa
+            return self._split_root(fid_b, h)
+        frob_minus_one = (self._level(b).frob(a) - np.eye(b, dtype=np.int64)) % p
+        basis = kernel_rref(frob_minus_one.T, p)  # (a, b)
+        for start in range(0, p**a, _ROOT_BLOCK):
+            codes = np.arange(start, min(start + _ROOT_BLOCK, p**a), dtype=np.int64)
+            xs = self.codes_to_digits(FieldId(p, a), codes) @ basis % p
             acc = np.zeros_like(xs)
             for c in fa[::-1]:
                 acc = self.vmul(fid_b, acc, xs)
-                acc[..., 0] = (acc[..., 0] + int(c)) % self.p
-            hits = np.nonzero(~np.any(acc, axis=-1))[0]
-            if hits.size == 0:
-                raise InternalInconsistencyError("modulus has no root in the overfield")
-            return xs[int(hits[0])]
-        h = np.zeros((a + 1, b), dtype=np.int64)
-        h[:, 0] = fa
-        return self._split_root(fid_b, h)
+                acc[..., 0] = (acc[..., 0] + int(c)) % p
+            hits = np.flatnonzero(~np.any(acc, axis=-1))
+            if hits.size:
+                return xs[int(hits[0])]
+        raise InternalInconsistencyError("modulus has no root in the overfield")
 
     def _split_root(self, fid: FieldId, h: np.ndarray) -> np.ndarray:
         """Deterministic root of a monic split squarefree polynomial over fid.

@@ -143,6 +143,8 @@ class Polynomial:
             x.shape[:-2], () if y is None else y.shape[:-2]
         )
         acc = np.zeros(batch + (k,), dtype=np.int64)
+        # each term adds at most (p-1)^2; reduce per term only where the sum could wrap
+        wraps = len(self.terms) * (self.p - 1) ** 2 >= 1 << 63
         for coeff, exps in self.terms:
             term = None
             for idx, e in enumerate(exps):
@@ -157,6 +159,8 @@ class Polynomial:
                 acc = acc + term
             else:
                 acc = acc + term * coeff
+            if wraps:
+                acc %= self.p
         return acc % self.p
 
 

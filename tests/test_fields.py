@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asaitwist import fields as fields_module
-from asaitwist.errors import CapExceeded, IncompatibleFields, ParameterError
+from asaitwist.errors import (
+    CapExceeded,
+    IncompatibleFields,
+    InternalInconsistencyError,
+    ParameterError,
+)
 from asaitwist.fields import _BRUTE_ROOT_BOUND, FieldId, FieldTower
 
 
@@ -147,37 +152,104 @@ def test_least_irreducible_evaluates_each_upper_part_once(monkeypatch):
     assert 7 not in {-(x**3 + x) % p for x in range(p)}
 
 
+def _root_codes(p, a, b, monkeypatch):
+    """Codes of _root_candidates(a, b) in a new tower, after checking
+    that each is a root of the degree-a modulus; also whether trace
+    splitting ran and whether it divided out a cofactor."""
+    tower = FieldTower(p)
+    fa, fb = tower.make_field(a), tower.make_field(b)
+    splits, divisions = [], []
+    split, divexact = tower._split_root, tower._pp_divexact
+    monkeypatch.setattr(tower, "_split_root", lambda *args: splits.append(1) or split(*args))
+    monkeypatch.setattr(tower, "_pp_divexact", lambda *args: divisions.append(1) or divexact(*args))
+    cands = np.array(tower._root_candidates(a, b))
+    acc = np.zeros_like(cands)
+    for c in reversed(tower.modulus(fa)):
+        acc = tower.vmul(fb, acc, cands)
+        acc[:, 0] = (acc[:, 0] + c) % p
+    assert not acc.any()
+    return tower.digits_to_codes(fb, cands).tolist(), bool(splits), bool(divisions)
+
+
 @pytest.mark.parametrize(
     "p,a,b,brute,divides",
     [
         (2, 3, 6, True, False),
         (3, 2, 6, True, False),
-        (2, 7, 14, False, False),
-        (3, 3, 9, False, False),
-        (5, 2, 6, False, False),
-        (2, 5, 15, False, True),  # keeps a cofactor by exact division
+        (2, 7, 14, True, False),
+        (3, 3, 9, True, False),
+        (5, 2, 6, True, False),
+        (2, 5, 15, True, True),  # trace splitting keeps a cofactor by exact division
+        (2, 13, 26, False, True),
+        (4099, 1, 2, False, False),  # F_p itself is above the bound
     ],
 )
 def test_root_candidates_are_all_roots_in_code_order(p, a, b, brute, divides, monkeypatch):
-    """Both root-finding paths (brute force up to _BRUTE_ROOT_BOUND elements,
-    trace splitting above) give every root of the degree-a modulus in
-    F_{p^b}, sorted by code."""
+    """Both root-finding paths (brute force over the subfield F_{p^a} up to
+    _BRUTE_ROOT_BOUND elements, trace splitting above) give every root of
+    the degree-a modulus in F_{p^b}, sorted by code: a distinct roots of a
+    degree-a polynomial are all of them.  Each case runs at the default
+    bound and again with the bound at 0, which forces trace splitting."""
+    codes, split, _ = _root_codes(p, a, b, monkeypatch)
+    assert split != brute
+    monkeypatch.setattr(fields_module, "_BRUTE_ROOT_BOUND", 0)
+    trace_codes, split, divided = _root_codes(p, a, b, monkeypatch)
+    assert split and divided == divides
+    assert trace_codes == codes
+    assert len(codes) == a and codes == sorted(set(codes))
+
+
+@pytest.mark.parametrize("a,b", [(8, 16), (12, 24)])
+def test_subfield_root_search_evaluates_one_block(a, b):
+    """The roots of the degree-a modulus lie in the p^a-element subfield;
+    on these pairs the first block of its candidates holds one, so the
+    Horner loop sends at most 256 rows to vmul at level b, a + 1 times."""
+    tower = FieldTower(2)
+    tower.make_field(a)
+    tower.make_field(b)
+    rows = []
+    vmul = tower.vmul
+
+    def counting_vmul(fid, x, y):
+        if fid.degree == b:
+            rows.append(len(x))
+        return vmul(fid, x, y)
+
+    tower.vmul = counting_vmul
+    tower._subfield_root(a, b)
+    assert len(rows) == a + 1 and len(set(rows)) == 1 and rows[0] <= 256
+
+
+def _divisor_lattice(p, top):
+    """Every embedding a -> b with b <= top, built in ascending order."""
     tower = FieldTower(p)
-    fa, fb = tower.make_field(a), tower.make_field(b)
-    xs = tower.codes_to_digits(fb, np.arange(fb.order, dtype=np.int64))
-    acc = np.zeros_like(xs)
-    for c in reversed(tower.modulus(fa)):
-        acc = tower.vmul(fb, acc, xs)
-        acc[:, 0] = (acc[:, 0] + c) % p
-    roots = np.nonzero(~acc.any(axis=1))[0].tolist()
-    assert len(roots) == a
-    divisions = []
-    divexact = tower._pp_divexact
-    monkeypatch.setattr(tower, "_pp_divexact", lambda *args: divisions.append(1) or divexact(*args))
-    cands = tower._root_candidates(a, b)
-    assert [int(tower.digits_to_codes(fb, r)) for r in cands] == roots
-    assert (fb.order <= _BRUTE_ROOT_BOUND) == brute
-    assert bool(divisions) == divides
+    for b in range(1, top + 1):
+        for a in fields_module.divisors(b):
+            tower._embedding(a, b)
+    return tower._emb
+
+
+@pytest.mark.parametrize("p,top", [(2, 24), (3, 12), (5, 8), (7, 6)])
+def test_embedding_lattice_is_the_same_for_both_root_searches(p, top, monkeypatch):
+    lattice = _divisor_lattice(p, top)
+    monkeypatch.setattr(fields_module, "_BRUTE_ROOT_BOUND", 0)
+    traced = _divisor_lattice(p, top)
+    assert lattice.keys() == traced.keys()
+    for key, emb in lattice.items():
+        assert np.array_equal(emb.mat, traced[key].mat), key
+
+
+@pytest.mark.xfail(raises=InternalInconsistencyError, strict=True)
+def test_embedding_lattice_does_not_depend_on_request_order():
+    """In this order of requests 3 -> 12 and 3 -> 18 are each the least
+    root compatible with the edges present, picked independently, and
+    then no 3 -> 6 commutes with both (known fault)."""
+    tower = FieldTower(2)
+    for a, b in [(6, 18), (3, 18), (6, 12), (3, 12), (3, 6)]:
+        tower._embedding(a, b)
+    for x, y, z in [(3, 6, 12), (3, 6, 18)]:
+        composite = tower._emb[(x, y)].mat @ tower._emb[(y, z)].mat % 2
+        assert np.array_equal(composite, tower._emb[(x, z)].mat)
 
 
 def test_make_field_examples():
@@ -504,15 +576,16 @@ def test_embedding_chain_matches_direct_jump():
     assert tower.section(tower.embed(y, f27), f9) == y
 
 
-@pytest.mark.parametrize("p,b", [(2, 4), (2, 13), (2, 64), (3, 9)])
-def test_prime_field_embedding_is_e0(p, b):
+@pytest.mark.parametrize("p,b", [(2, 4), (2, 13), (2, 64), (3, 9), (4099, 2)])
+def test_prime_field_embedding_is_e0(p, b, monkeypatch):
     """F_p sits in F_{p^b} as the constants, whichever root search finds
-    the root 0 of the degree-1 modulus t (brute force for 2^4, trace
-    splitting for the others)."""
-    tower = FieldTower(p)
-    emb = tower._embedding(1, b)
-    assert emb.mat.tolist() == [[1] + [0] * (b - 1)]
-    assert (p**b <= _BRUTE_ROOT_BOUND) == ((p, b) == (2, 4))
+    the root 0 of the degree-1 modulus t: each case runs at the default
+    bound (brute force over F_p, trace splitting for p = 4099) and again
+    with the bound at 0, which forces trace splitting."""
+    for bound in (_BRUTE_ROOT_BOUND, 0):
+        monkeypatch.setattr(fields_module, "_BRUTE_ROOT_BOUND", bound)
+        emb = FieldTower(p)._embedding(1, b)
+        assert emb.mat.tolist() == [[1] + [0] * (b - 1)]
 
 
 def test_embedding_lattice_order_independent():

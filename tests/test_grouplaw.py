@@ -60,6 +60,25 @@ def test_polynomial_arithmetic_matches_evaluation():
     assert np.array_equal(lhs, rhs)
 
 
+def test_polynomial_evaluation_matches_python_integers_at_a_large_prime():
+    """Eight terms (p-1)*x_i*y_j sum past 2^63 at p = 1760000027, where
+    degree 1 is still a field; the sum must be reduced before it wraps."""
+    p, d = 1760000027, 4
+    pairs = [(i, j) for i in range(d) for j in range(2)]
+    raw = [(p - 1, tuple(int(v in (i, d + j)) for v in range(2 * d))) for i, j in pairs]
+    poly = Polynomial.make(p, 2 * d, raw)
+    tower = FieldTower(p)
+    fid = tower.make_field(1)
+    rng = np.random.default_rng(11)
+    x = rng.integers(0, p, size=(200, d, 1))
+    y = rng.integers(0, p, size=(200, d, 1))
+    expected = [
+        sum((p - 1) * int(xr[i, 0]) * int(yr[j, 0]) for i, j in pairs) % p
+        for xr, yr in zip(x, y)
+    ]
+    assert poly.evaluate(tower, fid, x, y)[:, 0].tolist() == expected
+
+
 def _unitriangular(law_coords, n, coords, p):
     """Place coordinate values into an n x n unitriangular integer matrix."""
     m = np.eye(n, dtype=np.int64)
