@@ -27,9 +27,20 @@ choices are deterministic:
 
 Bulk operations act on numpy int64 "digit" arrays of shape (..., k) with
 entry i the coefficient of t^i.  Scalar and bulk paths share the same
-kernels.  Towers are single-threaded: reads fill per-degree data
-(Frobenius powers, Artin-Schreier factorizations, embeddings) lazily, so
-a tower must not be shared between threads.
+kernels.
+
+What depends only on (p, k) lives in one process-wide table, _LEVELS:
+the modulus, the reduction matrix, the Frobenius powers, the
+Artin-Schreier factorizations and the sorted roots of every subfield
+modulus with their powers matrices.  A tower takes a level from the
+table and derives it only on a miss, so every tower of a process shares
+it; its arrays are read-only.  A tower keeps to itself its degree cap
+(checked before the table is read), the levels it has registered
+(counted by stats["fields_built"]) and its embeddings, since which root
+an edge takes depends on the order of the tower's requests.  The table
+and the towers fill lazily on reads and the table grows with the
+distinct (p, k) a process touches, so the module is single-threaded: no
+two threads may use it at once.
 """
 
 from __future__ import annotations
@@ -56,6 +67,9 @@ DEFAULT_DEGREE_CAP = 1024
 # subfields go through trace splitting
 _BRUTE_ROOT_BOUND = 4096
 _ROOT_BLOCK = 256
+
+# (p, k) -> _Level of F_{p^k}, shared by every tower of the process
+_LEVELS: dict[tuple[int, int], "_Level"] = {}
 
 
 def is_prime(n: int) -> bool:
@@ -150,24 +164,37 @@ class FieldElement:
         return f"F({self.field.p}^{self.field.degree})[{','.join(map(str, self.coeffs))}]"
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: level data is shared by every tower."""
+    a.flags.writeable = False
+    return a
+
+
 class _Level:
-    """Per-degree data: modulus, reduction matrix, lazily filled Frobenius powers."""
+    """Data of F_{p^degree} that depends on nothing else: the modulus, the
+    reduction matrix, and lazily filled Frobenius powers, Artin-Schreier
+    factorizations and subfield roots."""
 
     def __init__(self, p: int, degree: int, modulus: np.ndarray):
         self.p = p
         self.degree = degree
-        self.modulus = modulus  # (degree+1,) monic over F_p
-        self.red = _reduction_matrix(modulus, p)  # (degree-1, degree)
+        self.modulus = _frozen(modulus)  # (degree+1,) monic over F_p
+        self.red = _frozen(_reduction_matrix(modulus, p))  # (degree-1, degree)
         # frob[e] is the matrix of x -> x^{p^e}: digit row vectors act on the right
-        self._frob: dict[int, np.ndarray] = {0: np.eye(degree, dtype=np.int64)}
-        self._frob[1] = _frobenius_matrix(modulus, p)
+        self._frob: dict[int, np.ndarray] = {
+            0: _frozen(np.eye(degree, dtype=np.int64)),
+            1: _frozen(_frobenius_matrix(modulus, p)),
+        }
         # Artin-Schreier factorizations keyed by the exponent E with Q = p^E
         self.as_cache: dict[int, tuple] = {}
+        # roots[a]: the roots of the degree-a modulus here, in code order,
+        # and the powers matrix of each, shape (a, a, degree)
+        self.roots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def frob(self, e: int) -> np.ndarray:
         e = e % self.degree if self.degree > 1 else 0
         if e not in self._frob:
-            self._frob[e] = matpow_mod(self._frob[1], e, self.p)
+            self._frob[e] = _frozen(matpow_mod(self._frob[1], e, self.p))
         return self._frob[e]
 
 
@@ -226,6 +253,8 @@ class FieldTower:
         self.degree_cap = degree_cap
         self._levels: dict[int, _Level] = {}
         self._emb: dict[tuple[int, int], _Embedding] = {}
+        # fields_built counts the levels this tower registered, whether
+        # the level table held them already or derived them for it
         self.stats = {"fields_built": 0, "artin_schreier_solves": 0}
         self.make_field(1)
 
@@ -241,8 +270,11 @@ class FieldTower:
         if (2 * degree - 1) * (self.p - 1) ** 2 >= 1 << 63:
             raise CapExceeded(f"degree {degree} over F_{self.p} overflows vmul's int64 sums")
         if degree not in self._levels:
-            modulus = self._least_irreducible(degree)
-            self._levels[degree] = _Level(self.p, degree, modulus)
+            lvl = _LEVELS.get((self.p, degree))
+            if lvl is None:
+                lvl = _Level(self.p, degree, self._least_irreducible(degree))
+                _LEVELS[self.p, degree] = lvl
+            self._levels[degree] = lvl
             self.stats["fields_built"] += 1
         return FieldId(self.p, degree)
 
@@ -429,11 +461,7 @@ class FieldTower:
             emb = _Embedding(eye, eye, np.zeros((a, 0), dtype=np.int64))
             self._emb[key] = emb
             return emb
-        fid_b = FieldId(self.p, b)
-        candidates = [
-            self._powers_matrix(fid_b, r, a)
-            for r in self._root_candidates(a, b)
-        ]
+        _, candidates = self._root_candidates(a, b)
         pre = sorted(x for (x, t) in self._emb if t == a and x != a)
         post = sorted(y for (s, y) in self._emb if s == b and y != b)
         constraints = [
@@ -481,27 +509,24 @@ class FieldTower:
                     m = (m @ self._emb[(b, y)].mat) % self.p
                 self._emb[(x, y)] = self._finish_embedding(x, m)
 
-    def _root_candidates(self, a: int, b: int) -> list[np.ndarray]:
+    def _root_candidates(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """All roots of the degree-a modulus in F_{p^b} (one Frobenius
-        orbit), in canonical code order."""
-        fid_b = FieldId(self.p, b)
-        r0 = self._subfield_root(a, b)
-        conj = []
-        r = r0
-        for _ in range(a):
-            conj.append(r)
-            r = self.vfrob(fid_b, r, 1)
-        # lexicographic order on the reversed digits is code order
-        return sorted(conj, key=lambda v: tuple(v[::-1]))
-
-    def _powers_matrix(self, fid: FieldId, r: np.ndarray, a: int) -> np.ndarray:
-        mat = np.zeros((a, fid.degree), dtype=np.int64)
-        mat[0, 0] = 1
-        row = mat[0]
-        for i in range(1, a):
-            row = self.vmul(fid, row, r)
-            mat[i] = row
-        return mat
+        orbit) in canonical code order, shape (a, b), and the powers
+        matrix of each, shape (a, a, b); found once per process."""
+        lvl = self._level(b)
+        if a not in lvl.roots:
+            fid_b = FieldId(self.p, b)
+            conj = [self._subfield_root(a, b)]
+            for _ in range(a - 1):
+                conj.append(self.vfrob(fid_b, conj[-1], 1))
+            # lexicographic order on the reversed digits is code order
+            roots = np.array(sorted(conj, key=lambda v: tuple(v[::-1])))
+            powers = np.zeros((a, a, b), dtype=np.int64)
+            powers[:, 0, 0] = 1
+            for i in range(1, a):
+                powers[:, i] = self.vmul(fid_b, powers[:, i - 1], roots)
+            lvl.roots[a] = (_frozen(roots), _frozen(powers))
+        return lvl.roots[a]
 
     def _finish_embedding(self, a: int, mat: np.ndarray) -> _Embedding:
         r, t, pivots = rref_mod(mat.T, self.p)
@@ -699,7 +724,7 @@ class FieldTower:
             brev = a.T[:, ::-1]
             _, t, pivots = rref_mod(brev, self.p)
             kern = kernel_rref(brev, self.p)
-            lvl.as_cache[e] = (t, pivots, kern)
+            lvl.as_cache[e] = (_frozen(t), _frozen(np.array(pivots, dtype=np.int64)), _frozen(kern))
         t, pivots, kern = lvl.as_cache[e]
         tb = (c @ t.T) % self.p
         rank = len(pivots)

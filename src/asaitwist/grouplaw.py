@@ -8,6 +8,11 @@ coordinate by coordinate, and the Lang equation reduces to one
 Artin-Schreier equation per coordinate.  A law's conj, the coordinates
 of y^{-1} x y, is composed from inv and mul on first read.
 
+builtin and parse_group_dsl are cached for the life of the process:
+equal arguments give the one shared GroupLaw, so its inverse and conj
+are derived once.  The caches grow with the distinct laws a process
+reads and, like the field tower, are for one thread at a time.
+
 The text DSL:
 
     group   := "group" NAME "dim" INT "char" INT mulstmt+
@@ -19,9 +24,10 @@ The text DSL:
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,10 +47,6 @@ _SAMPLE_SEED = 1729
 # ---------------------------------------------------------------------------
 
 
-def _term_key(exps: tuple[int, ...]):
-    return (sum(exps), tuple(-e for e in exps))
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Sparse polynomial over F_p in 2*d variables (x1..xd, y1..yd).
@@ -60,16 +62,28 @@ class Polynomial:
 
     @staticmethod
     def make(p: int, nvars: int, raw) -> "Polynomial":
-        acc: dict[tuple[int, ...], int] = {}
+        """The polynomial of (coefficient, exponents) terms from outside:
+        each exponent vector is checked, then the terms are collected."""
+        checked = []
         for coeff, exps in raw:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ParameterError("bad exponent vector")
-            acc[exps] = (acc.get(exps, 0) + coeff) % p
-        terms = tuple(
-            (c, e) for e, c in sorted(acc.items(), key=lambda kv: _term_key(kv[0])) if c
-        )
-        return Polynomial(p, nvars, terms)
+            checked.append((int(coeff), exps))
+        return Polynomial._collect(p, nvars, checked)
+
+    @staticmethod
+    def _collect(p: int, nvars: int, raw) -> "Polynomial":
+        """Canonical form of terms whose exponent vectors are already
+        tuples of nvars non-negative ints, as the operations build them."""
+        acc: dict[tuple[int, ...], int] = {}
+        for coeff, exps in raw:
+            acc[exps] = acc.get(exps, 0) + coeff
+        terms = [(c % p, e) for e, c in acc.items() if c % p]
+        # canonical order in two stable sorts: exponents descending, then degree
+        terms.sort(key=operator.itemgetter(1), reverse=True)
+        terms.sort(key=lambda t: sum(t[1]))
+        return Polynomial(p, nvars, tuple(terms))
 
     @staticmethod
     def zero(p: int, nvars: int) -> "Polynomial":
@@ -79,26 +93,27 @@ class Polynomial:
     def variable(p: int, nvars: int, idx: int) -> "Polynomial":
         exps = [0] * nvars
         exps[idx] = 1
-        return Polynomial.make(p, nvars, [(1, tuple(exps))])
+        return Polynomial(p, nvars, ((1, tuple(exps)),))
 
     def add(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial.make(self.p, self.nvars, list(self.terms) + list(other.terms))
+        return Polynomial._collect(self.p, self.nvars, self.terms + other.terms)
 
     def neg(self) -> "Polynomial":
-        return Polynomial.make(self.p, self.nvars, [(-c, e) for c, e in self.terms])
+        return Polynomial._collect(self.p, self.nvars, [(-c, e) for c, e in self.terms])
 
     def sub(self, other: "Polynomial") -> "Polynomial":
         return self.add(other.neg())
 
     def mul(self, other: "Polynomial") -> "Polynomial":
-        raw = []
-        for c1, e1 in self.terms:
-            for c2, e2 in other.terms:
-                raw.append((c1 * c2, tuple(a + b for a, b in zip(e1, e2))))
-        return Polynomial.make(self.p, self.nvars, raw)
+        raw = [
+            (c1 * c2, tuple(map(operator.add, e1, e2)))
+            for c1, e1 in self.terms
+            for c2, e2 in other.terms
+        ]
+        return Polynomial._collect(self.p, self.nvars, raw)
 
     def pow(self, e: int) -> "Polynomial":
-        one = Polynomial.make(self.p, self.nvars, [(1, (0,) * self.nvars)])
+        one = Polynomial(self.p, self.nvars, ((1, (0,) * self.nvars),))
         return power(self, e, Polynomial.mul, one)
 
     def subs(self, mapping: dict[int, "Polynomial"]) -> "Polynomial":
@@ -111,7 +126,7 @@ class Polynomial:
                 if e and idx in mapping:
                     term = term.mul(mapping[idx].pow(e))
             raw.extend(term.terms)
-        return Polynomial.make(self.p, self.nvars, raw)
+        return Polynomial._collect(self.p, self.nvars, raw)
 
     def coordinate_indices(self) -> set[int]:
         """Coordinate numbers (0-based) of all variables that occur."""
@@ -280,8 +295,10 @@ def ul_coordinates(n: int) -> list[tuple[int, int]]:
     return [(i, i + dist) for dist in range(1, n) for i in range(1, n - dist + 1)]
 
 
+@lru_cache(maxsize=None)
 def builtin(family: str, p: int, param: int | None = None) -> GroupLaw:
-    """Built-in families: ul(n), ga_power(d), n2."""
+    """Built-in families: ul(n), ga_power(d), n2; one shared law per
+    argument tuple."""
     if family == "ul":
         n = param
         if n is None or n < 2:
@@ -385,12 +402,14 @@ class _Parser:
             raise GroupLawSyntaxError(f"expected '{word}', got {t.text!r}", t.line, t.col)
 
 
+@lru_cache(maxsize=None)
 def parse_group_dsl(text: str) -> GroupLaw:
     """Parse and validate a group law written in the text DSL.
 
     Syntax errors carry line/column; semantic violations (non-prime
     characteristic, identity not at the origin, non-triangular coordinate)
-    raise GroupLawSemanticError.
+    raise GroupLawSemanticError.  Equal texts give the one shared law; an
+    error is not cached, so it is raised again on every call.
     """
     ps = _Parser(_tokenize(text))
     ps.expect_kw("group")

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from asaitwist import cache as cache_module
+from asaitwist import fields
 from asaitwist.cache import (
     class_table_path,
     load_class_table,
@@ -15,7 +16,7 @@ from asaitwist.cache import (
 )
 from asaitwist.cli import main
 from asaitwist.fields import FieldTower
-from asaitwist.grouplaw import builtin, canonical_text
+from asaitwist.grouplaw import builtin, canonical_text, parse_group_dsl
 from asaitwist.points import FiniteGroupView, conjugacy_classes, enumerate_group
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -313,6 +314,50 @@ def test_run_batch_propagates_failure(runner, tmp_path):
     cfg_path.write_text(json.dumps({"jobs": [{"command": "asai", "group": "n2", "q": 3, "max_order": 4}]}))
     res = invoke(runner, ["run", "--config", str(cfg_path)])
     assert res.exit_code == 4
+
+
+def test_degree_cap_is_per_tower_within_a_batch(runner, tmp_path):
+    """Jobs of a batch share the process-wide field levels, not the cap:
+    the first job builds F_3^6, the second may not go past degree 5 and
+    exits 4 there, and the third repeats the first byte for byte."""
+    job = {"command": "asai", "group": "n2", "q": 3, "m": 2}
+    cfg = {"jobs": [
+        {**job, "out": str(tmp_path / "first.json")},
+        {**job, "max_ext": 5, "out": str(tmp_path / "capped.json")},
+        {**job, "out": str(tmp_path / "again.json")},
+    ]}
+    cfg_path = tmp_path / "batch.json"
+    cfg_path.write_text(json.dumps(cfg))
+    res = invoke(runner, ["run", "--config", str(cfg_path)])
+    assert res.exit_code == 4
+    assert "error: cap exceeded: degree 6 exceeds the tower cap 5" in res.stderr
+    assert not (tmp_path / "capped.json").exists()
+    first = (tmp_path / "first.json").read_bytes()
+    assert max(w.get("degree", 0) for w in json.loads(first)["centralizer_witnesses"]) == 6
+    assert (tmp_path / "again.json").read_bytes() == first
+
+
+def test_batch_writes_the_same_reports_as_single_jobs(runner, tmp_path, monkeypatch):
+    """The jobs of a batch share the process-wide field levels and laws;
+    each job run alone on an empty table and empty law caches, as in a
+    fresh process, writes the same bytes (the first job is repeated)."""
+    jobs = [
+        {"command": "asai", "group": "n2", "q": 3},
+        {"command": "asai", "group": "ul(3)", "q": 2, "m": 2},
+        {"command": "easy-check", "group": "n2", "q": 3, "max_m": 2},
+        {"command": "asai", "group": "n2", "q": 3},
+    ]
+    cfg_path = tmp_path / "batch.json"
+    cfg_path.write_text(json.dumps(
+        {"jobs": [{**job, "out": str(tmp_path / f"batch-{i}.json")} for i, job in enumerate(jobs)]}))
+    assert invoke(runner, ["run", "--config", str(cfg_path)]).exit_code == 0
+    for i, job in enumerate(jobs):
+        monkeypatch.setattr(fields, "_LEVELS", {})
+        builtin.cache_clear()
+        parse_group_dsl.cache_clear()
+        cfg_path.write_text(json.dumps({"jobs": [{**job, "out": str(tmp_path / f"single-{i}.json")}]}))
+        assert invoke(runner, ["run", "--config", str(cfg_path)]).exit_code == 0
+        assert (tmp_path / f"single-{i}.json").read_bytes() == (tmp_path / f"batch-{i}.json").read_bytes()
 
 
 def test_group_and_dsl_are_exclusive(runner, tmp_path):

@@ -13,6 +13,29 @@ from asaitwist.errors import (
 from asaitwist.fields import _BRUTE_ROOT_BOUND, FieldId, FieldTower
 
 
+@pytest.fixture
+def empty_levels(monkeypatch):
+    """Start from an empty process-wide level table, so that a test sees
+    every level derived, not taken from an earlier test; calling the
+    returned function empties the table again."""
+
+    def empty():
+        monkeypatch.setattr(fields_module, "_LEVELS", {})
+
+    empty()
+    return empty
+
+
+def _count_splits(monkeypatch) -> list:
+    """A list that grows by one at every _split_root call of any tower."""
+    calls = []
+    split = FieldTower._split_root
+    monkeypatch.setattr(
+        FieldTower, "_split_root", lambda self, *args: calls.append(1) or split(self, *args)
+    )
+    return calls
+
+
 def op_tables(tower, fid):
     """Code-indexed add/mul tables, built from the bulk kernels."""
     q = fid.order
@@ -133,7 +156,7 @@ def test_degree_64_modulus_is_code_least():
         assert not tower._is_irreducible(f)
 
 
-def test_least_irreducible_evaluates_each_upper_part_once(monkeypatch):
+def test_least_irreducible_evaluates_each_upper_part_once(monkeypatch, empty_levels):
     """At p = 20021 = 2 (mod 3) every t^3 + c has a root, so the root
     filter must not evaluate each constant on F_p: one evaluation of
     t^3 and one of t^3 + t find t^3 + t + 7, the first constant outside
@@ -162,7 +185,7 @@ def _root_codes(p, a, b, monkeypatch):
     split, divexact = tower._split_root, tower._pp_divexact
     monkeypatch.setattr(tower, "_split_root", lambda *args: splits.append(1) or split(*args))
     monkeypatch.setattr(tower, "_pp_divexact", lambda *args: divisions.append(1) or divexact(*args))
-    cands = np.array(tower._root_candidates(a, b))
+    cands, _ = tower._root_candidates(a, b)
     acc = np.zeros_like(cands)
     for c in reversed(tower.modulus(fa)):
         acc = tower.vmul(fb, acc, cands)
@@ -184,14 +207,19 @@ def _root_codes(p, a, b, monkeypatch):
         (4099, 1, 2, False, False),  # F_p itself is above the bound
     ],
 )
-def test_root_candidates_are_all_roots_in_code_order(p, a, b, brute, divides, monkeypatch):
+def test_root_candidates_are_all_roots_in_code_order(
+    p, a, b, brute, divides, monkeypatch, empty_levels
+):
     """Both root-finding paths (brute force over the subfield F_{p^a} up to
     _BRUTE_ROOT_BOUND elements, trace splitting above) give every root of
     the degree-a modulus in F_{p^b}, sorted by code: a distinct roots of a
     degree-a polynomial are all of them.  Each case runs at the default
-    bound and again with the bound at 0, which forces trace splitting."""
+    bound and again with the bound at 0, which forces trace splitting;
+    each run starts from an empty level table, which would otherwise
+    hand the second run the roots of the first."""
     codes, split, _ = _root_codes(p, a, b, monkeypatch)
     assert split != brute
+    empty_levels()
     monkeypatch.setattr(fields_module, "_BRUTE_ROOT_BOUND", 0)
     trace_codes, split, divided = _root_codes(p, a, b, monkeypatch)
     assert split and divided == divides
@@ -200,7 +228,7 @@ def test_root_candidates_are_all_roots_in_code_order(p, a, b, brute, divides, mo
 
 
 @pytest.mark.parametrize("a,b", [(8, 16), (12, 24)])
-def test_subfield_root_search_evaluates_one_block(a, b):
+def test_subfield_root_search_evaluates_one_block(a, b, empty_levels):
     """The roots of the degree-a modulus lie in the p^a-element subfield;
     on these pairs the first block of its candidates holds one, so the
     Horner loop sends at most 256 rows to vmul at level b, a + 1 times."""
@@ -229,14 +257,29 @@ def _divisor_lattice(p, top):
     return tower._emb
 
 
+def _assert_same_lattice(lattice, expected):
+    assert lattice.keys() == expected.keys()
+    for key, emb in lattice.items():
+        assert np.array_equal(emb.mat, expected[key].mat), key
+
+
 @pytest.mark.parametrize("p,top", [(2, 24), (3, 12), (5, 8), (7, 6)])
-def test_embedding_lattice_is_the_same_for_both_root_searches(p, top, monkeypatch):
+def test_embedding_lattice_is_the_same_for_both_root_searches(
+    p, top, monkeypatch, empty_levels
+):
+    """Each lattice is built on an empty level table, so the run with the
+    bound at 0 finds its roots by trace splitting, not in the table."""
     lattice = _divisor_lattice(p, top)
+    empty_levels()
+    splits = _count_splits(monkeypatch)
     monkeypatch.setattr(fields_module, "_BRUTE_ROOT_BOUND", 0)
     traced = _divisor_lattice(p, top)
-    assert lattice.keys() == traced.keys()
-    for key, emb in lattice.items():
-        assert np.array_equal(emb.mat, traced[key].mat), key
+    assert splits
+    _assert_same_lattice(lattice, traced)
+
+
+# a request order at p = 2 that leaves no 3 -> 6 compatible with the rest
+_CONFLICTING_ORDER = [(6, 18), (3, 18), (6, 12), (3, 12), (3, 6)]
 
 
 @pytest.mark.xfail(raises=InternalInconsistencyError, strict=True)
@@ -245,11 +288,54 @@ def test_embedding_lattice_does_not_depend_on_request_order():
     root compatible with the edges present, picked independently, and
     then no 3 -> 6 commutes with both (known fault)."""
     tower = FieldTower(2)
-    for a, b in [(6, 18), (3, 18), (6, 12), (3, 12), (3, 6)]:
+    for a, b in _CONFLICTING_ORDER:
         tower._embedding(a, b)
     for x, y, z in [(3, 6, 12), (3, 6, 18)]:
         composite = tower._emb[(x, y)].mat @ tower._emb[(y, z)].mat % 2
         assert np.array_equal(composite, tower._emb[(x, z)].mat)
+
+
+def test_lattice_of_a_fresh_tower_ignores_other_towers(empty_levels):
+    """The level table is shared and the embeddings are not: after the
+    conflicting order fails on one tower, a fresh tower's ascending
+    lattice equals the one built on an empty table."""
+    expected = _divisor_lattice(2, 18)
+    empty_levels()
+    tower = FieldTower(2)
+    with pytest.raises(InternalInconsistencyError):
+        for a, b in _CONFLICTING_ORDER:
+            tower._embedding(a, b)
+    _assert_same_lattice(_divisor_lattice(2, 18), expected)
+
+
+def test_second_tower_takes_its_levels_from_the_table(monkeypatch, empty_levels):
+    """A second tower of the same p derives no modulus and searches no
+    root: it registers the first tower's levels, the same read-only
+    arrays, and builds the same embeddings from the stored roots."""
+    edges = [(1, 4), (2, 4), (3, 6), (2, 6), (4, 12), (6, 12)]
+    first = FieldTower(2)
+    for a, b in edges:
+        first._embedding(a, b)
+
+    def refuse(*args):
+        raise AssertionError("a level was derived again")
+
+    monkeypatch.setattr(FieldTower, "_least_irreducible", refuse)
+    monkeypatch.setattr(FieldTower, "_subfield_root", refuse)
+    second = FieldTower(2)
+    for a, b in edges:
+        second._embedding(a, b)
+    assert second.stats["fields_built"] == first.stats["fields_built"] == 6
+    for k in (1, 2, 3, 4, 6, 12):
+        fid = FieldId(2, k)
+        assert second.modulus(fid) == first.modulus(fid)
+        old, new = first._level(k), second._level(k)
+        assert new is old and new.red is old.red
+        assert all(new.frob(e) is old.frob(e) for e in range(k))
+    for key, emb in first._emb.items():
+        assert np.array_equal(second._emb[key].mat, emb.mat), key
+    with pytest.raises(ValueError, match="read-only"):
+        second._level(4).frob(1)[0, 0] = 1
 
 
 def test_make_field_examples():
@@ -577,15 +663,20 @@ def test_embedding_chain_matches_direct_jump():
 
 
 @pytest.mark.parametrize("p,b", [(2, 4), (2, 13), (2, 64), (3, 9), (4099, 2)])
-def test_prime_field_embedding_is_e0(p, b, monkeypatch):
+def test_prime_field_embedding_is_e0(p, b, monkeypatch, empty_levels):
     """F_p sits in F_{p^b} as the constants, whichever root search finds
     the root 0 of the degree-1 modulus t: each case runs at the default
-    bound (brute force over F_p, trace splitting for p = 4099) and again
-    with the bound at 0, which forces trace splitting."""
+    bound (brute force over F_p, trace splitting for p = 4099) and again,
+    on an empty level table, with the bound at 0, which forces trace
+    splitting."""
+    splits = _count_splits(monkeypatch)
     for bound in (_BRUTE_ROOT_BOUND, 0):
+        empty_levels()
+        splits.clear()
         monkeypatch.setattr(fields_module, "_BRUTE_ROOT_BOUND", bound)
         emb = FieldTower(p)._embedding(1, b)
         assert emb.mat.tolist() == [[1] + [0] * (b - 1)]
+        assert bool(splits) == (bound == 0 or p == 4099)
 
 
 def test_embedding_lattice_order_independent():

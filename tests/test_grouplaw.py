@@ -241,6 +241,45 @@ def test_dsl_round_trip_of_builtin():
         assert parse_group_dsl(canonical_text(law)) == law
 
 
+def test_equal_dsl_text_gives_one_shared_law():
+    """Laws are cached by their text and arguments, so a process derives
+    a law's inverse and conj once; errors are raised on every call."""
+    law = parse_group_dsl(N2_TEXT)
+    assert parse_group_dsl("".join(list(N2_TEXT))) is law
+    assert parse_group_dsl(N2_TEXT.replace("n2", "other")) is not law
+    assert builtin("ul", 2, 3) is builtin("ul", 2, 3) is parse_group_name("ul(3)", 2)
+    assert law.conj is parse_group_dsl(N2_TEXT).conj
+    for bad, error in [
+        ("group g dim 1 char 2\nmul[1] = x1 + @\n", GroupLawSyntaxError),
+        ("group g dim 1 char 4\nmul[1] = x1 + y1\n", GroupLawSemanticError),
+    ]:
+        for _ in range(2):
+            with pytest.raises(error):
+                parse_group_dsl(bad)
+
+
+def test_polynomial_operations_match_checked_construction():
+    """add, neg, mul and subs skip the exponent checks of make, which
+    only outside input needs; their results equal make's on the same
+    raw terms."""
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 7):
+        a, b = (
+            Polynomial.make(p, 4, [(int(c), tuple(e)) for c, e in zip(
+                rng.integers(-p, 2 * p, 6), rng.integers(0, 3, (6, 4)))])
+            for _ in range(2)
+        )
+        assert a.add(b) == Polynomial.make(p, 4, list(a.terms) + list(b.terms))
+        assert a.neg() == Polynomial.make(p, 4, [(-c, e) for c, e in a.terms])
+        product = [(c1 * c2, np.add(e1, e2)) for c1, e1 in a.terms for c2, e2 in b.terms]
+        assert a.mul(b) == Polynomial.make(p, 4, product)
+        assert a.subs({1: b}) == a.subs({1: b, 3: Polynomial.variable(p, 4, 3)})
+    with pytest.raises(ParameterError):
+        Polynomial.make(3, 2, [(1, (1, -1))])
+    with pytest.raises(ParameterError):
+        Polynomial.make(3, 2, [(1, (1,))])
+
+
 def test_dsl_coefficient_juxtaposition():
     text = """group twisted dim 2 char 5
 mul[1] = x1 + y1
