@@ -19,9 +19,11 @@ chunk of rows at a time, on (rows, d, k) digit arrays: the Lang solve,
 the checks on the images, the class lookup of the images, and z with
 both of its checks for every fixed class.  y is the least such rational
 element, found for every fixed class of a chunk and level by one call
-of the coordinate-prefix filter FiniteGroupView.find_conjugators.
-centralizer_witness only reads the result: a class's witness is its
-point z.
+of the coordinate-prefix filter FiniteGroupView.find_conjugators.  The
+checks take one product or one conjugation per side: x^{-1} g x is the
+law's conj at (g, x), z g == g z is checked as conj(g, z) == g, and
+z^{-1} F^m(z) == g as F^m(z) == z g.  centralizer_witness only reads the
+result: a class's witness is its point z.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError, ParameterError
 from .fields import FieldId
-from .grouplaw import eval_inv, eval_mul
+from .grouplaw import eval_inv, eval_mul, eval_polys
 
 # lang_solve_triangular is the one-point form of lang_solve_batch; it stays
 # bound here because perfbench/tracer.py wraps it at this import site
@@ -81,13 +83,14 @@ class NormMapResult:
 def norm_map(table: ClassTable) -> NormMapResult:
     """Batched Lang solve; asserts rather than assumes well-definedness.
 
-    Every computed image is checked to equal both x^{-1} g x and
-    F^m(x)^{-1} x and to be fixed by F^m before it is located in the
-    class table.  Every fixed class gets its centralizer witness here,
-    and both of its checks (z g = g z, z^{-1} F^m(z) = g) run exactly;
-    a failure is recorded in witness_errors, the one verdict on
-    witnesses, and raised by centralizer_witness.  Extension degrees
-    are bounded by the tower's degree_cap (CapExceeded above it).
+    Every computed image F^m(x)^{-1} x is checked to equal x^{-1} g x,
+    evaluated as conj(g, x), and to be fixed by F^m before it is located
+    in the class table.  Every fixed class gets its centralizer witness
+    here, and both of its checks run exactly: z g = g z as conj(g, z) = g
+    and z^{-1} F^m(z) = g as F^m(z) = z g (_witness_checks).  A failure
+    is recorded in witness_errors, the one verdict on witnesses, and
+    raised by centralizer_witness.  Extension degrees are bounded by the
+    tower's degree_cap (CapExceeded above it).
     """
     view = table.view
     law, tower = view.law, view.tower
@@ -105,10 +108,11 @@ def norm_map(table: ClassTable) -> NormMapResult:
             classes = chunk[rows]
             mul = partial(eval_mul, law, tower, lvl)
             inv = partial(eval_inv, law, tower, lvl)
+            conj = partial(eval_polys, law.conj, tower, lvl)
             frob = partial(tower.vfrob, lvl, e=base.degree)
             ge = tower.vembed(base, lvl, g[rows])
             img = mul(inv(frob(x)), x)
-            if not np.array_equal(mul(mul(inv(x), ge), x), img):
+            if not np.array_equal(conj(ge, x), img):
                 raise InternalInconsistencyError(
                     "x^{-1} g x != F^m(x)^{-1} x despite x solving the Lang equation"
                 )
@@ -133,9 +137,7 @@ def norm_map(table: ClassTable) -> NormMapResult:
             yd = tower.vembed(base, lvl, view.digits(y))
             z = np.zeros_like(x)
             z[fixed] = zf = inv(mul(x[fixed], yd))
-            gf = ge[fixed]
-            commutes = np.all(mul(zf, gf) == mul(gf, zf), axis=(-2, -1))
-            coboundary = np.all(mul(inv(zf), frob(zf)) == gf, axis=(-2, -1))
+            commutes, coboundary = _witness_checks(conj, mul, frob, ge[fixed], zf)
             for row in fixed[~(commutes & coboundary)]:
                 errors.setdefault(int(classes[row]), "centralizer witness failed its checks")
             where[classes, 0] = len(levels)
@@ -153,6 +155,15 @@ def norm_map(table: ClassTable) -> NormMapResult:
         table, tuple(perm.tolist()), perm == np.arange(n), image_ordinals, levels, where,
         errors, stats,
     )
+
+
+def _witness_checks(conj, mul, frob, g, z) -> tuple[np.ndarray, np.ndarray]:
+    """Row masks of the two witness checks on digit arrays at one level:
+    z g == g z, as conj(g, z) == g, and z^{-1} F^m(z) == g, as
+    F^m(z) == z g."""
+    commutes = np.all(conj(g, z) == g, axis=(-2, -1))
+    coboundary = np.all(frob(z) == mul(z, g), axis=(-2, -1))
+    return commutes, coboundary
 
 
 def is_asai_trivial(result: NormMapResult) -> bool:

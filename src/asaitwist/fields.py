@@ -46,6 +46,7 @@ two threads may use it at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import isqrt
 from typing import Iterator
@@ -385,10 +386,22 @@ class FieldTower:
         return (conv[..., :k] + conv[..., k:] @ lvl.red) % self.p
 
     def vpow(self, fid: FieldId, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e on every digit row, as the product of (F^j a)^{e_j} over the
+        base-p digits e_j of e: each F^j a is one Frobenius matrix product,
+        and only digits above 1 take square-and-multiply."""
         a = np.asarray(a, dtype=np.int64) % self.p
-        one = np.zeros_like(a)
-        one[..., 0] = 1
-        return power(a, e, lambda u, v: self.vmul(fid, u, v), one)
+        mul = partial(self.vmul, fid)
+        out, j = None, 0
+        while e:
+            e, digit = divmod(e, self.p)
+            if digit:  # at least 1, so power never returns its unit
+                fac = power(self.vfrob(fid, a, j) if j else a, digit, mul, None)
+                out = fac if out is None else mul(out, fac)
+            j += 1
+        if out is None:
+            out = np.zeros_like(a)
+            out[..., 0] = 1
+        return out
 
     def vfrob(self, fid: FieldId, a: np.ndarray, e: int) -> np.ndarray:
         """x -> x^{p^e} applied to every digit row."""

@@ -553,15 +553,19 @@ class ValidationReport:
         return [f"{n}: {d}" for n, ok, d in self.checks if not ok]
 
 
+def eval_polys(polys, tower: FieldTower, fid: FieldId, x, y=None) -> np.ndarray:
+    """Each polynomial of a tuple on digit arrays (..., d, k), stacked as
+    coordinates: (..., len(polys), k)."""
+    return np.stack([poly.evaluate(tower, fid, x, y) for poly in polys], axis=-2)
+
+
 def eval_mul(law: GroupLaw, tower: FieldTower, fid: FieldId, x, y) -> np.ndarray:
     """Vectorized product: digit arrays (..., d, k) -> (..., d, k)."""
-    return np.stack(
-        [poly.evaluate(tower, fid, x, y) for poly in law.mul], axis=-2
-    )
+    return eval_polys(law.mul, tower, fid, x, y)
 
 
 def eval_inv(law: GroupLaw, tower: FieldTower, fid: FieldId, x) -> np.ndarray:
-    return np.stack([poly.evaluate(tower, fid, x) for poly in law.inv], axis=-2)
+    return eval_polys(law.inv, tower, fid, x)
 
 
 def all_tuples(tower: FieldTower, fid: FieldId, dim: int, ordinals=None) -> np.ndarray:

@@ -13,9 +13,13 @@ build it.
 lang_solve_batch solves many g at once on (rows, d, e) digit arrays.  It
 walks the coordinates with the rows grouped by their current level,
 solves each group's Artin-Schreier equations in one call, and regroups
-the rows whose solution moved to a larger field.  Every row is verified
-by one vectorized x * F^m(x)^{-1} == g check.  lang_solve_triangular is
-the same solve for one point.
+the rows whose solution moved to a larger field.  Step i evaluates only
+coordinate i of x * F^m(x)^{-1}: inv_1..inv_i on F^m(x), then mul_i,
+each without its terms in x_i..x_d, which are still zero.  Every row is
+verified on the full law by one vectorized g * F^m(x) == x check, the
+Lang equation with the inverse moved across: one product, no inverse.
+verify_witness and the brute-force scan use the same equation.
+lang_solve_triangular is the same solve for one point.
 
 The brute-force solver scans whole groups level by level; it exists as an
 independent oracle for the triangular one and is exponential in the
@@ -35,7 +39,10 @@ from .errors import (
     ParameterError,
 )
 from .fields import FieldId, FieldTower, p_power_exponent
-from .grouplaw import GroupLaw, all_tuples, eval_inv, eval_mul
+from .grouplaw import GroupLaw, Polynomial, all_tuples, eval_mul, eval_polys
+
+# perfbench/tracer.py wraps eval_inv at this import site, as in points
+from .grouplaw import eval_inv  # noqa: F401
 from .points import DEFAULT_MAX_ORDER, Point, digits_point, point_digits
 
 _BRUTE_CHUNK = 1 << 15
@@ -51,10 +58,32 @@ class LangWitness:
     n_multiplier: int
 
 
-def _lang_map(law: GroupLaw, tower: FieldTower, fid: FieldId, x, e: int) -> np.ndarray:
-    """x * F^e(x)^{-1} on digit arrays (..., d, k) over fid, F the p-power map."""
-    fx = tower.vfrob(fid, x, e)
-    return eval_mul(law, tower, fid, x, eval_inv(law, tower, fid, fx))
+def _solves_lang(law: GroupLaw, tower: FieldTower, fid: FieldId, x, g, e: int) -> np.ndarray:
+    """Row mask of x * F^e(x)^{-1} == g, checked as g * F^e(x) == x on
+    digit arrays (..., d, k) over fid, F the p-power map."""
+    lhs = eval_mul(law, tower, fid, g, tower.vfrob(fid, x, e))
+    return np.all(lhs == x, axis=(-2, -1))
+
+
+def _lang_steps(law: GroupLaw) -> list[tuple[tuple[Polynomial, ...], Polynomial]]:
+    """Per coordinate i: inv_1..inv_i and mul_i without their terms in
+    x_i..x_d, which are zero in the partial solution of step i.  mul_i
+    reads no y_j with j > i, so the i inverse coordinates suffice."""
+    d = law.dim
+    steps = []
+    for i in range(d):
+        later = range(i, d)
+        steps.append(
+            (tuple(poly.without(later) for poly in law.inv[: i + 1]), law.mul[i].without(later))
+        )
+    return steps
+
+
+def _step_value(tower: FieldTower, fid: FieldId, step, xt, e: int) -> np.ndarray:
+    """Coordinate i of xt * F^e(xt)^{-1}, xt zero in coordinates >= i and
+    step the i-th entry of _lang_steps: shape (..., k)."""
+    inv, mul = step
+    return mul.evaluate(tower, fid, xt, eval_polys(inv, tower, fid, tower.vfrob(fid, xt, e)))
 
 
 def default_degree_cap(law: GroupLaw, q: int, m: int) -> int:
@@ -84,12 +113,12 @@ def lang_solve_batch(
     # level degree -> (rows, partial points); coordinates >= i stay zero
     # and do not feed back into coordinate i for triangular laws
     levels = {base.degree: (np.arange(len(g)), np.zeros_like(g))}
-    for i in range(law.dim):
+    for i, step in enumerate(_lang_steps(law)):
         solved: dict[int, list] = {}
         for degree, (rows, xt) in levels.items():
             cur = FieldId(law.p, degree)
-            z = _lang_map(law, tower, cur, xt, base.degree)
-            c = (z[:, i] - tower.vembed(base, cur, g[rows, i])) % law.p
+            z = _step_value(tower, cur, step, xt, base.degree)
+            c = (z - tower.vembed(base, cur, g[rows, i])) % law.p
             for fid, sel, t in tower.vartin_schreier_solve(cur, c, base.degree):
                 if fid.degree > degree:
                     level, x = fid, tower.vembed(cur, fid, xt[sel])
@@ -105,8 +134,8 @@ def lang_solve_batch(
     groups = []
     for degree, (rows, x) in levels.items():
         fid = FieldId(law.p, degree)
-        lang = _lang_map(law, tower, fid, x, base.degree)
-        if not np.array_equal(lang, tower.vembed(base, fid, g[rows])):
+        ge = tower.vembed(base, fid, g[rows])
+        if not _solves_lang(law, tower, fid, x, ge, base.degree).all():
             raise InternalInconsistencyError("triangular Lang witness failed to verify")
         groups.append((fid, rows, x))
     return groups
@@ -146,9 +175,7 @@ def lang_solve_bruteforce(
         for start in range(0, order, _BRUTE_CHUNK):
             codes = np.arange(start, min(start + _BRUTE_CHUNK, order), dtype=np.int64)
             xs = all_tuples(tower, fid, law.dim, codes)
-            lang = _lang_map(law, tower, fid, xs, base)
-            mask = np.all(lang == ge[None], axis=(-2, -1))
-            hits = np.nonzero(mask)[0]
+            hits = np.nonzero(_solves_lang(law, tower, fid, xs, ge, base))[0]
             if hits.size:
                 x = digits_point(fid, xs[int(hits[0])])
                 return LangWitness(g, x, N)
@@ -156,12 +183,11 @@ def lang_solve_bruteforce(
 
 
 def verify_witness(law: GroupLaw, tower: FieldTower, w: LangWitness) -> bool:
-    """Re-evaluate x * F^m(x)^{-1} and compare with g at a common level;
-    False when x's field does not extend g's."""
+    """Check g * F^m(x) == x, the Lang equation, at x's level; False when
+    x's field does not extend g's."""
     try:
         fid = w.x.field
-        lang = _lang_map(law, tower, fid, point_digits(w.x), w.g.field.degree)
         ge = tower.vembed(w.g.field, fid, point_digits(w.g))
-        return bool(np.array_equal(lang, ge))
+        return bool(_solves_lang(law, tower, fid, point_digits(w.x), ge, w.g.field.degree))
     except IncompatibleFields:
         return False

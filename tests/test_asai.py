@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 
+from asaitwist import asai as asai_module
 from asaitwist.asai import (
     asai_apply,
     centralizer_witness,
@@ -16,10 +18,10 @@ from asaitwist.asai import (
     norm_map,
     twisted_classes,
 )
-from asaitwist.errors import ParameterError
+from asaitwist.errors import InternalInconsistencyError, ParameterError
 from asaitwist.fields import FieldTower
 from asaitwist import points as points_module
-from asaitwist.grouplaw import builtin, parse_group_name
+from asaitwist.grouplaw import builtin, eval_mul, parse_group_name
 from asaitwist.lang import lang_solve_bruteforce, lang_solve_triangular
 from asaitwist.points import conjugacy_classes, enumerate_group
 
@@ -304,6 +306,118 @@ def test_witness_search_work_is_linear_in_the_group(monkeypatch, group, p, q, m)
     result = norm_map(table)
     assert not result.witness_errors
     assert 0 < sum(candidates) <= 16 * view.order
+
+
+@pytest.fixture
+def ul3_f4_result():
+    """ul(3) over F_4: every class is fixed, 6 of the 19 by a norm image
+    other than the representative, and every witness but the identity's
+    lives above F_4."""
+    tower = FieldTower(2)
+    view = enumerate_group(builtin("ul", 2, 3), tower, 2, 2)
+    table = conjugacy_classes(view)
+    return view, table, norm_map(table)
+
+
+def test_a_wrong_conjugator_is_named_in_witness_errors(monkeypatch, ul3_f4_result):
+    """find_conjugators answers y = 1 for every pair: z = x^{-1} still has
+    z^{-1} F^m(z) = g but no longer commutes with g, so each searched
+    class, and no other, has a witness error, which centralizer_witness
+    raises."""
+    view, table, clean = ul3_f4_result
+    assert not clean.witness_errors
+    searched = [c for c in range(len(table)) if clean.image_ordinals[c] != table.reps[c]]
+    assert len(searched) == 6 and clean.fixed.all()
+    monkeypatch.setattr(
+        points_module.FiniteGroupView,
+        "find_conjugators",
+        lambda self, g, t: np.zeros(len(g), dtype=np.int64),
+    )
+    result = norm_map(table)
+    assert sorted(result.witness_errors) == searched
+    for c in searched:
+        with pytest.raises(InternalInconsistencyError):
+            centralizer_witness(result, c)
+
+
+def _corrupting_witness_checks(monkeypatch, corrupt):
+    """Make norm_map check corrupt(mul, z) in place of its witnesses z;
+    returns the list the (commutes, coboundary) masks are appended to."""
+    masks = []
+    checks = asai_module._witness_checks
+
+    def corrupted(conj, mul, frob, g, z):
+        masks.append(checks(conj, mul, frob, g, corrupt(mul, z)))
+        return masks[-1]
+
+    monkeypatch.setattr(asai_module, "_witness_checks", corrupted)
+    return masks
+
+
+def test_a_witness_times_a_nonrational_central_point_fails_the_coboundary_check(
+    monkeypatch, ul3_f4_result
+):
+    """z * (0, 0, t), t the generator of z's level: it still commutes with
+    g, but z^{-1} F^m(z) moves by t^{-1} F^m(t), which is 1 only where t
+    is rational, so every witness above F_4 fails its coboundary check."""
+    view, table, clean = ul3_f4_result
+
+    def central_shift(mul, z):
+        z = z.copy()
+        z[:, -1, 1] = (z[:, -1, 1] + 1) % 2
+        return z
+
+    masks = _corrupting_witness_checks(monkeypatch, central_shift)
+    result = norm_map(table)
+    above = [c for c in range(len(table)) if clean.levels[clean.where[c, 0]][0].degree > 2]
+    assert len(above) == 18
+    assert sorted(result.witness_errors) == above
+    commutes, coboundary = (np.concatenate(parts) for parts in zip(*masks))
+    assert commutes.all() and (~coboundary).sum() == len(above)
+
+
+def _one_in_coordinate_1(dim: int, k: int) -> np.ndarray:
+    """Digits of (1, 0, ..., 0) at level F_{p^k}: the field's one, a
+    rational element, in coordinate 1."""
+    a = np.zeros((dim, k), dtype=np.int64)
+    a[0, 0] = 1
+    return a
+
+
+def test_a_witness_times_a_rational_point_fails_the_commute_check(monkeypatch, ul3_f4_result):
+    """a * z, a = (1, 0, 0): z^{-1} F^m(z) is unchanged since a is
+    rational, and a z commutes with g iff a does, so exactly the classes
+    whose representative does not commute with a have a witness error."""
+    view, table, clean = ul3_f4_result
+    masks = _corrupting_witness_checks(
+        monkeypatch, lambda mul, z: mul(_one_in_coordinate_1(3, z.shape[-1]), z)
+    )
+    result = norm_map(table)
+    a, reps = _one_in_coordinate_1(3, 2), view.digits(table.reps)
+    ag = eval_mul(view.law, view.tower, view.field, a, reps)
+    ga = eval_mul(view.law, view.tower, view.field, reps, a)
+    apart = np.nonzero(np.any(ag != ga, axis=(-2, -1)))[0].tolist()
+    assert apart
+    assert sorted(result.witness_errors) == apart
+    commutes, coboundary = (np.concatenate(parts) for parts in zip(*masks))
+    assert coboundary.all() and (~commutes).sum() == len(apart)
+
+
+def test_a_lang_solution_times_a_rational_point_fails_the_image_check(monkeypatch):
+    """x replaced by a * x, a = (1, 0, 0) rational: F^m(x)^{-1} x is
+    unchanged but x^{-1} g x is not, for g not commuting with a."""
+    view = enumerate_group(builtin("ul", 2, 3), FieldTower(2), 2, 1)
+    solve = asai_module.lang_solve_batch
+
+    def left_factor(law, tower, g):
+        return [
+            (fid, rows, eval_mul(law, tower, fid, _one_in_coordinate_1(3, fid.degree), x))
+            for fid, rows, x in solve(law, tower, g)
+        ]
+
+    monkeypatch.setattr(asai_module, "lang_solve_batch", left_factor)
+    with pytest.raises(InternalInconsistencyError, match=re.escape("x^{-1} g x != F^m(x)^{-1} x")):
+        norm_map(conjugacy_classes(view))
 
 
 def test_indices_outside_their_range_raise(ul3_result):

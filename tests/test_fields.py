@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from asaitwist.errors import (
     ParameterError,
 )
 from asaitwist.fields import _BRUTE_ROOT_BOUND, FieldId, FieldTower
+from asaitwist.modp import power
 
 
 @pytest.fixture
@@ -366,6 +369,22 @@ def test_vmul_matches_python_integers_at_a_large_prime(p, k):
     for u, v, got in zip(a.tolist(), b.tolist(), tower.vmul(fid, a, b).tolist()):
         prod = [sum(u[i] * v[j - i] for i in range(k) if 0 <= j - i < k) for j in range(2 * k - 1)]
         assert got == _poly_mod(prod, tower.modulus(fid), p)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 1), (5, 3), (4099, 1), (4099, 2)])
+def test_vpow_by_base_p_digits_matches_square_and_multiply(p, k):
+    """vpow's product of Frobenius powers equals square-and-multiply over
+    vmul, zero rows and the exponent 0 included."""
+    tower = FieldTower(p)
+    fid = tower.make_field(k)
+    rng = np.random.default_rng(p + k)
+    a = rng.integers(0, p, size=(12, k))
+    a[0] = 0
+    one = np.zeros_like(a)
+    one[:, 0] = 1
+    for e in (0, 1, p, p + 1, p**2, 2 * p + 3, int(rng.integers(2, p ** (k + 2)))):
+        expected = power(a, e, partial(tower.vmul, fid), one)
+        assert np.array_equal(tower.vpow(fid, a, e), expected), e
 
 
 def test_make_field_refuses_degrees_whose_products_wrap_int64():

@@ -45,6 +45,14 @@ GOLDEN = [
         ["easy-check", "--group", "n2", "--q", "3", "--max-m", "3", "--max-order", "81"],
         "4941557117f72849d913e918a9a1997b640d11b80ebe8b53b694210fcecf33be",
     ),
+    (  # the p-power exponent y1^5 at an extension level
+        ["asai", "--group", "n2", "--q", "5", "--m", "2"],
+        "97588bb404c6f10bafb212534935c2167e1dc6e55af38e831f872556f512f4b9",
+    ),
+    (  # y1^2 over F_2, levels up to m = 5
+        ["easy-check", "--group", "n2", "--q", "2", "--max-m", "5"],
+        "8aa80438dc4c910abd56b3e59b1951f5f66949e95a55062163e983ffcd4e7c64",
+    ),
     (  # inconclusive: a cap hit before any level
         ["easy-check", "--group", "n2", "--q", "3", "--max-m", "2", "--max-order", "5"],
         "2f7630869f655b1b0b4761d8feaa62f2819960e681b33087af4127373d5be503",

@@ -2,7 +2,8 @@
 
 The laws are random triangular DSL laws (`random_laws`) of dimension 2
 to 4 over F_2, F_3 and F_5.  The batch is checked against the one-row
-solve, the scalar witness check and the brute-force solver.
+solve, the scalar witness check and the brute-force solver, and each
+step's restricted evaluation against the full x * F^m(x)^{-1}.
 """
 
 import numpy as np
@@ -11,11 +12,20 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asaitwist import lang as lang_module
 from asaitwist.asai import centralizer_witness, norm_map
 from asaitwist.cli import main
-from asaitwist.errors import CapExceeded, ParameterError
+from asaitwist.errors import CapExceeded, InternalInconsistencyError, ParameterError
 from asaitwist.fields import FieldTower
-from asaitwist.grouplaw import Polynomial, all_tuples, canonical_text, parse_group_name
+from asaitwist.grouplaw import (
+    Polynomial,
+    all_tuples,
+    canonical_text,
+    eval_inv,
+    eval_mul,
+    parse_group_dsl,
+    parse_group_name,
+)
 from asaitwist.lang import (
     lang_solve_batch,
     lang_solve_bruteforce,
@@ -23,7 +33,8 @@ from asaitwist.lang import (
     verify_witness,
 )
 from asaitwist.points import conjugacy_classes, digits_point, enumerate_group
-from random_laws import random_dsl_law, transported_law
+from random_laws import BUILTINS, random_dsl_law, transported_law
+from test_points import MID_CENTRAL
 
 # brute-force witness search stops at groups larger than this
 BRUTE_MAX_ORDER = 1 << 15
@@ -112,3 +123,66 @@ def test_cli_cap_exceeded_from_batch_exits_4(tmp_path):
     assert res.exit_code == 4
     assert "cap exceeded" in res.output
 
+
+def assert_steps_match_the_full_lang_map(law, e, seed):
+    """At every step i, on random partial solutions (coordinates >= i
+    zero) at the base level F_{p^e} and at F_{p^{pe}}, the restricted
+    step value equals coordinate i of the full x * F^e(x)^{-1}."""
+    tower = FieldTower(law.p)
+    rng = np.random.default_rng(seed)
+    steps = lang_module._lang_steps(law)
+    assert len(steps) == law.dim
+    for k in (e, law.p * e):
+        fid = tower.make_field(k)
+        x = rng.integers(0, law.p, size=(30, law.dim, k))
+        for i, step in enumerate(steps):
+            xt = x.copy()
+            xt[:, i:] = 0
+            full = eval_mul(law, tower, fid, xt, eval_inv(law, tower, fid, tower.vfrob(fid, xt, e)))
+            got = lang_module._step_value(tower, fid, step, xt, e)
+            assert np.array_equal(got, full[:, i]), (i, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_dsl_law(groups=BUILTINS + ["ga_power(4)"], primes=(2, 3, 5)), st.integers(0, 2**16))
+def test_step_values_match_the_full_lang_map_on_random_laws(case, seed):
+    law, _, m = case
+    assert_steps_match_the_full_lang_map(law, m, seed)
+
+
+@pytest.mark.parametrize(
+    "group,p,e",
+    [("n2", 2, 2), ("n2", 3, 1), ("n2", 5, 2), ("ga_power(3)", 3, 1), ("ul(3)", 2, 3),
+     ("ul(4)", 2, 2), ("ul(4)", 3, 1), ("ul(5)", 2, 1)],
+)
+def test_step_values_match_the_full_lang_map_on_builtins(group, p, e):
+    assert_steps_match_the_full_lang_map(parse_group_name(group, p), e, seed=p * e)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1)])
+def test_step_values_match_the_full_lang_map_on_mid_central(p, e):
+    assert_steps_match_the_full_lang_map(parse_group_dsl(MID_CENTRAL.format(p=p)), e, seed=e)
+
+
+@pytest.mark.parametrize("group,p,m", [("n2", 3, 2), ("ul(3)", 2, 2), ("ul(4)", 2, 1)])
+def test_a_wrong_step_value_fails_the_lang_check(monkeypatch, group, p, m):
+    """One row's value at the last step is off by one, so the Artin-Schreier
+    root and the witness x solve the wrong equation: the check on the
+    full law rejects the batch."""
+    law = parse_group_name(group, p)
+    tower = FieldTower(p)
+    view = enumerate_group(law, tower, p, m)
+    last = lang_module._lang_steps(law)[-1]
+    step_value = lang_module._step_value
+
+    def off_by_one(tower, fid, step, xt, e):
+        z = step_value(tower, fid, step, xt, e)
+        if step == last:
+            z[-1, 0] = (z[-1, 0] + 1) % tower.p
+        return z
+
+    monkeypatch.setattr(lang_module, "_step_value", off_by_one)
+    with pytest.raises(InternalInconsistencyError, match="failed to verify"):
+        lang_solve_batch(law, tower, view.digits(np.arange(view.order)))
+    with pytest.raises(InternalInconsistencyError, match="failed to verify"):
+        norm_map(conjugacy_classes(view))
