@@ -82,7 +82,7 @@ def main() -> int:
                 "label": rep.family_label.label,
                 "label_status": rep.label_status,
                 "internally_consistent": rep.internally_consistent,
-                "classes_per_m": [len(lc.fixed) for lc in rep.levels],
+                "classes_per_m": [len(result.table) for result in rep.levels],
             }
         )
         if not rep.internally_consistent:

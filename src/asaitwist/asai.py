@@ -58,7 +58,8 @@ class NormMapResult:
     witness level: a fixed class c has its centralizer witness
     z[where[c, 1]] in levels[where[c, 0]].  witness_errors maps each
     fixed class whose witness failed its checks to the failure; it is
-    empty on a sound run.
+    empty on a sound run.  has_witness masks the classes with a verified
+    witness.
     """
 
     table: ClassTable
@@ -73,6 +74,15 @@ class NormMapResult:
     @property
     def view(self) -> FiniteGroupView:
         return self.table.view
+
+    @property
+    def has_witness(self) -> np.ndarray:
+        """Bool mask of the classes with a verified centralizer witness:
+        fixed and absent from witness_errors."""
+        mask = self.fixed.copy()
+        mask[list(self.witness_errors)] = False
+        mask.flags.writeable = False
+        return mask
 
     @property
     def images(self) -> list[Point]:

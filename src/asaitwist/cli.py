@@ -31,11 +31,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .asai import is_asai_trivial, moved_classes, norm_map
-
-# the CLI reads witnesses from norm_map's arrays; centralizer_witness stays
-# bound here because perfbench/tracer.py wraps it at this import site
-from .asai import centralizer_witness  # noqa: F401
+from .asai import centralizer_witness, is_asai_trivial, moved_classes, norm_map
 from .cache import SCHEMA_VERSION, class_table_path, load_class_table, save_class_table
 from .easiness import easiness_crosscheck
 from .errors import (
@@ -265,8 +261,7 @@ def _asai_body(cfg: RunConfig) -> None:
     table = _load_or_compute_table(law, tower, cfg)
     result = norm_map(table)
     if result.witness_errors:
-        # what centralizer_witness raises for the first failing class
-        raise InternalInconsistencyError(result.witness_errors[min(result.witness_errors)])
+        centralizer_witness(result, min(result.witness_errors))  # raises the class's error
     sizes = table.sizes
     report = {
         **_header(law, cfg),
@@ -298,12 +293,12 @@ def _easy_check_body(cfg: RunConfig) -> None:
     rep = easiness_crosscheck(law, tower, cfg.q, max_m=cfg.max_m, max_order=cfg.max_order)
     levels = [
         {
-            "m": lc.m,
-            **_level_block(lc.result),
-            "witness_found": [w is not None for w in lc.witnesses],
-            "agree": lc.agree,
+            "m": result.view.m,
+            **_level_block(result),
+            "witness_found": result.has_witness.tolist(),
+            "agree": (result.has_witness == result.fixed).tolist(),
         }
-        for lc in rep.levels
+        for result in rep.levels
     ]
     verdict = rep.verdict
     report = {

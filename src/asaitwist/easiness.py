@@ -10,9 +10,10 @@ every m.
 
 Both entry points take levels from one loop, which ends at the first cap
 hit (max_order, or the tower's degree_cap), and classify them with one
-rule, `_verdict`.  The scan is that loop stopped at its first
-certificate; the crosscheck takes every level.  A class's witness is the
-one norm_map checked; one that failed its checks counts as none.
+rule, `_verdict`.  A level is its NormMapResult: its `fixed` mask says
+which classes the norm map fixes, and its `has_witness` mask which have
+a witness that passed norm_map's checks.  The scan is that loop stopped
+at its first certificate; the crosscheck takes every level.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .asai import NormMapResult, centralizer_witness, norm_map
+from .asai import NormMapResult, is_asai_trivial, moved_classes, norm_map
+
+# the crosscheck reads witnesses from norm_map's masks; centralizer_witness
+# stays bound here because perfbench/tracer.py wraps it at this import site
+from .asai import centralizer_witness  # noqa: F401
 from .errors import CapExceeded
 from .grouplaw import GroupLaw
 from .fields import FieldTower
@@ -105,33 +110,20 @@ class EasinessVerdict:
 
 
 @dataclass
-class LevelCheck:
-    """Classwise data for one m: fixedness vs. witness existence."""
-
-    m: int
-    result: NormMapResult
-    fixed: list[bool]
-    witnesses: list[Point | None]
-    agree: list[bool]
-
-    @property
-    def consistent(self) -> bool:
-        return all(self.agree)
-
-
-@dataclass
 class ConsistencyReport:
     """Crosscheck matrix over m <= max_m plus the family-label comparison.
 
-    Classwise, fixedness under the norm map and existence of a verified
-    centralizer witness are both decidable and must coincide; any
-    disagreement is an internal inconsistency (a bug), never data.  The
-    label_status compares against the family oracle: a NotEasy label needs
-    some nontrivial operator within max_m ("confirmed") or stays
-    "unresolved"; an Easy label must see all-trivial operators.
+    Each level is the norm map's result at m = result.view.m.  Classwise,
+    fixedness under the norm map (result.fixed) and existence of a
+    verified centralizer witness (result.has_witness) are both decidable
+    and must coincide; any disagreement is an internal inconsistency (a
+    bug), never data.  The label_status compares against the family
+    oracle: a NotEasy label needs some nontrivial operator within max_m
+    ("confirmed") or stays "unresolved"; an Easy label must see
+    all-trivial operators.
     """
 
-    levels: list[LevelCheck]
+    levels: list[NormMapResult]
     internally_consistent: bool
     family_label: FamilyLabel
     label_status: str  # confirmed | unresolved | n/a | CONTRADICTION
@@ -146,53 +138,39 @@ def easiness_scan(
     Stops at the first nontrivial operator: that is already a certificate
     of non-easiness, with the first moved class as witness.
     """
-    levels: list[LevelCheck] = []
-    for lc in _level_checks(law, tower, q, max_m, max_order):
-        levels.append(lc)
-        if not all(lc.fixed):
+    levels: list[NormMapResult] = []
+    for result in _level_checks(law, tower, q, max_m, max_order):
+        levels.append(result)
+        if not is_asai_trivial(result):
             break
     return _verdict(levels, max_m)
 
 
-def check_level(
-    law: GroupLaw, tower: FieldTower, q: int, m: int, max_order: int = DEFAULT_MAX_ORDER
-) -> LevelCheck:
-    """Norm map at level m; a witness that failed its checks counts as none."""
-    view = enumerate_group(law, tower, q, m, max_order=max_order)
-    table = conjugacy_classes(view)
-    result = norm_map(table)
-    fixed = result.fixed.tolist()
-    witnesses = [
-        None if ci in result.witness_errors else centralizer_witness(result, ci)
-        for ci in range(len(table))
-    ]
-    agree = [(w is not None) == f for w, f in zip(witnesses, fixed)]
-    return LevelCheck(m, result, fixed, witnesses, agree)
-
-
-def _level_checks(law, tower, q, max_m, max_order) -> Iterator[LevelCheck]:
-    """Check levels m = 1, 2, ..., max_m in turn; stop at the first cap hit."""
+def _level_checks(law, tower, q, max_m, max_order) -> Iterator[NormMapResult]:
+    """Norm maps at levels m = 1, 2, ..., max_m in turn; stop at the first cap hit."""
     for m in range(1, max_m + 1):
         try:
-            lc = check_level(law, tower, q, m, max_order=max_order)
+            view = enumerate_group(law, tower, q, m, max_order=max_order)
+            result = norm_map(conjugacy_classes(view))
         except CapExceeded:
             return
-        yield lc
+        yield result
 
 
-def _verdict(levels: list[LevelCheck], max_m: int) -> EasinessVerdict:
+def _verdict(levels: list[NormMapResult], max_m: int) -> EasinessVerdict:
     """Classify the completed levels of the window m = 1..max_m.
 
     A nontrivial operator certifies non-easiness even if a cap cut the
     window short; fewer than max_m all-trivial levels is inconclusive.
     """
-    evidence = [(lc.m, all(lc.fixed)) for lc in levels]
-    for lc in levels:
-        if not all(lc.fixed):
+    evidence = [(result.view.m, is_asai_trivial(result)) for result in levels]
+    for result in levels:
+        moved = moved_classes(result)
+        if moved:
             return EasinessVerdict(
                 kind=NOT_EASY,
-                witness=lc.result.table.rep_point(lc.fixed.index(False)),
-                witness_m=lc.m,
+                witness=result.table.rep_point(moved[0]),
+                witness_m=result.view.m,
                 evidence=evidence,
             )
     if len(levels) < max_m:
@@ -207,7 +185,7 @@ def easiness_crosscheck(
     levels = list(_level_checks(law, tower, q, max_m, max_order))
     verdict = _verdict(levels, max_m)
 
-    internally_consistent = all(lc.consistent for lc in levels)
+    internally_consistent = all((r.has_witness == r.fixed).all() for r in levels)
     label = family_oracle(law)
     any_nontrivial = verdict.kind == NOT_EASY
     if label.label == EASY:

@@ -687,3 +687,6 @@ def test_failed_witness_search_exits_5(runner, tmp_path, monkeypatch):
     assert report["internally_consistent"] is False
     [level] = [lv for lv in report["levels"] if lv["m"] == 2]
     assert level["agree"].count(False) == 6
+    for lv in report["levels"]:
+        for found, fixed, agree in zip(lv["witness_found"], lv["fixed"], lv["agree"]):
+            assert found == (fixed and agree)

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asaitwist import asai
+from asaitwist.asai import centralizer_witness
 from asaitwist.easiness import (
     EASY,
     NOT_EASY,
@@ -58,13 +60,13 @@ def test_crosscheck_n2():
     tower = FieldTower(3)
     rep = easiness_crosscheck(builtin("n2", 3), tower, 3, max_m=1)
     assert rep.internally_consistent
-    lc = rep.levels[0]
-    table = lc.result.table
+    result = rep.levels[0]
+    table = result.table
     for ci in range(len(table)):
         a = table.rep_point(ci).coords[0].coeffs[0]
-        assert lc.fixed[ci] == (a == 0)
-        assert (lc.witnesses[ci] is not None) == (a == 0)
-        assert lc.agree[ci]
+        assert result.fixed[ci] == (a == 0)
+        assert result.has_witness[ci] == (a == 0)
+        assert (centralizer_witness(result, ci) is not None) == (a == 0)
     assert rep.family_label.label == NOT_EASY
     assert rep.label_status == "confirmed"
     assert rep.verdict.kind == NOT_EASY
@@ -83,8 +85,9 @@ def test_crosscheck_ul3():
     tower = FieldTower(2)
     rep = easiness_crosscheck(builtin("ul", 2, 3), tower, 2, max_m=2)
     assert rep.internally_consistent
-    for lc in rep.levels:
-        assert all(lc.fixed) and all(w is not None for w in lc.witnesses)
+    for result in rep.levels:
+        assert result.fixed.all() and result.has_witness.all()
+        assert all(centralizer_witness(result, ci) is not None for ci in range(len(result.table)))
     assert rep.family_label.label == EASY
     assert rep.label_status == "confirmed"
     assert rep.verdict.kind == "easy_up_to" and rep.verdict.up_to_m == 2
@@ -117,6 +120,24 @@ def test_n2_p2_exploratory_run():
     assert rep.internally_consistent
     assert rep.family_label.label == UNKNOWN
     assert rep.label_status == "n/a"
+
+
+@pytest.mark.parametrize(
+    "group,q,max_m,kind", [("ga_power(2)", 2, 3, "easy_up_to"), ("n2", 3, 2, NOT_EASY)]
+)
+def test_easiness_builds_no_witness_points(group, q, max_m, kind, monkeypatch):
+    """The crosscheck and the scan read witnesses from norm_map's masks;
+    neither turns a witness into a Point."""
+
+    def no_point(*args):
+        raise AssertionError("a witness Point was built")
+
+    monkeypatch.setattr(asai, "digits_point", no_point)
+    law = parse_group_name(group, q)
+    rep = easiness_crosscheck(law, FieldTower(law.p), q, max_m=max_m)
+    assert rep.internally_consistent and len(rep.levels) == max_m
+    assert rep.verdict.kind == kind
+    assert easiness_scan(law, FieldTower(law.p), q, max_m=max_m).kind == kind
 
 
 def _assert_scan_agrees_with_crosscheck(law, q, max_m, max_order):

@@ -57,6 +57,10 @@ GOLDEN = [
         ["easy-check", "--group", "n2", "--q", "3", "--max-m", "2", "--max-order", "5"],
         "2f7630869f655b1b0b4761d8feaa62f2819960e681b33087af4127373d5be503",
     ),
+    (  # commutative: every element its own class
+        ["easy-check", "--group", "ga_power(2)", "--q", "2", "--max-m", "4"],
+        "61ff190f06819c19fe20f0f9b1ddeca7be5d8604522a17086a8f4e4f2a0e3ed0",
+    ),
 ]
 
 
