@@ -10,10 +10,12 @@ choices are deterministic:
   level polynomial helpers (over F_p) that trace splitting also uses;
 * each modulus f has one companion matrix x -> t*x mod f: its k-th power
   gives the reduction rows, its p-th power the Frobenius matrix;
-* an embedding F_{p^a} -> F_{p^b} sends the degree-a generator to the
-  least root (same code order) of the degree-a defining polynomial that
-  is compatible with every embedding already present in the tower, so
-  that for a | b | c the composite a -> b -> c always equals a -> c;
+* the embedding F_{p^a} -> F_{p^b} sends the degree-a generator to the
+  least root (same code order) of the degree-a defining polynomial whose
+  embedding composes with x -> a to x -> b for every divisor 1 < x < a
+  of a, both chosen by the same rule first: a function of (p, a, b)
+  alone, so for a | b | c the composite a -> b -> c always equals
+  a -> c, whatever the order of requests;
 * those roots lie in the copy of F_{p^a} in F_{p^b}, ker(Frob^a - 1):
   when it has at most _BRUTE_ROOT_BOUND elements, the modulus is
   evaluated on them as combinations of a kernel basis, _ROOT_BLOCK at a
@@ -31,16 +33,18 @@ kernels.
 
 What depends only on (p, k) lives in one process-wide table, _LEVELS:
 the modulus, the reduction matrix, the Frobenius powers, the
-Artin-Schreier factorizations and the sorted roots of every subfield
-modulus with their powers matrices.  A tower takes a level from the
-table and derives it only on a miss, so every tower of a process shares
-it; its arrays are read-only.  A tower keeps to itself its degree cap
-(checked before the table is read), the levels it has registered
-(counted by stats["fields_built"]) and its embeddings, since which root
-an edge takes depends on the order of the tower's requests.  The table
-and the towers fill lazily on reads and the table grows with the
-distinct (p, k) a process touches, so the module is single-threaded: no
-two threads may use it at once.
+Artin-Schreier factorizations, the sorted roots of every subfield
+modulus with their powers matrices, and the embedding of every
+subfield.  A tower takes a level from the table and derives it only on
+a miss, so every tower of a process shares it; its arrays are
+read-only.  A tower keeps to itself only its degree cap (checked before
+the table is read) and the levels make_field registered (counted by
+stats["fields_built"]); arithmetic and embedding derivations read other
+levels from the table without registering them, so the count does not
+depend on what the table already held.  The table and the towers fill
+lazily on reads and the table grows with the distinct (p, k) a process
+touches, so the module is single-threaded: no two threads may use it
+at once.
 """
 
 from __future__ import annotations
@@ -174,7 +178,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class _Level:
     """Data of F_{p^degree} that depends on nothing else: the modulus, the
     reduction matrix, and lazily filled Frobenius powers, Artin-Schreier
-    factorizations and subfield roots."""
+    factorizations, subfield roots and subfield embeddings."""
 
     def __init__(self, p: int, degree: int, modulus: np.ndarray):
         self.p = p
@@ -191,6 +195,8 @@ class _Level:
         # roots[a]: the roots of the degree-a modulus here, in code order,
         # and the powers matrix of each, shape (a, a, degree)
         self.roots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # emb[a]: the embedding F_{p^a} -> here, by FieldTower._embedding
+        self.emb: dict[int, "_Embedding"] = {}
 
     def frob(self, e: int) -> np.ndarray:
         e = e % self.degree if self.degree > 1 else 0
@@ -241,10 +247,11 @@ class _Embedding:
 
 
 class FieldTower:
-    """All fields F_{p^k} for one prime p, with compatible embeddings.
+    """All fields F_{p^k} for one prime p up to a degree cap, with
+    compatible embeddings.
 
     Construction is idempotent and append-only; every operation is a pure
-    function of its inputs once the relevant levels exist.
+    function of its inputs.
     """
 
     def __init__(self, p: int, degree_cap: int = DEFAULT_DEGREE_CAP):
@@ -253,8 +260,7 @@ class FieldTower:
         self.p = p
         self.degree_cap = degree_cap
         self._levels: dict[int, _Level] = {}
-        self._emb: dict[tuple[int, int], _Embedding] = {}
-        # fields_built counts the levels this tower registered, whether
+        # fields_built counts the degrees make_field registered, whether
         # the level table held them already or derived them for it
         self.stats = {"fields_built": 0, "artin_schreier_solves": 0}
         self.make_field(1)
@@ -262,6 +268,20 @@ class FieldTower:
     # ---- field construction ----
 
     def make_field(self, degree: int) -> FieldId:
+        if degree not in self._levels:
+            self._levels[degree] = self._level(degree)
+            self.stats["fields_built"] += 1
+        return FieldId(self.p, degree)
+
+    def modulus(self, fid: FieldId) -> tuple[int, ...]:
+        return tuple(int(c) for c in self._level(fid.degree).modulus)
+
+    def _level(self, degree: int) -> _Level:
+        """The level of F_{p^degree}: a registered one, else the table's
+        once the cap allows it, derived there on a miss; registers nothing."""
+        lvl = self._levels.get(degree)
+        if lvl is not None:
+            return lvl
         if degree < 1:
             raise ParameterError("degree must be >= 1")
         if degree > self.degree_cap:
@@ -270,22 +290,10 @@ class FieldTower:
             )
         if (2 * degree - 1) * (self.p - 1) ** 2 >= 1 << 63:
             raise CapExceeded(f"degree {degree} over F_{self.p} overflows vmul's int64 sums")
-        if degree not in self._levels:
-            lvl = _LEVELS.get((self.p, degree))
-            if lvl is None:
-                lvl = _Level(self.p, degree, self._least_irreducible(degree))
-                _LEVELS[self.p, degree] = lvl
-            self._levels[degree] = lvl
-            self.stats["fields_built"] += 1
-        return FieldId(self.p, degree)
-
-    def modulus(self, fid: FieldId) -> tuple[int, ...]:
-        return tuple(int(c) for c in self._level(fid.degree).modulus)
-
-    def _level(self, degree: int) -> _Level:
-        if degree not in self._levels:
-            self.make_field(degree)
-        return self._levels[degree]
+        lvl = _LEVELS.get((self.p, degree))
+        if lvl is None:
+            lvl = _LEVELS[self.p, degree] = _Level(self.p, degree, self._least_irreducible(degree))
+        return lvl
 
     def _least_irreducible(self, k: int) -> np.ndarray:
         """The code-least monic irreducible of degree k: upper parts g =
@@ -454,73 +462,40 @@ class FieldTower:
         return (a @ emb.sec) % self.p
 
     def _embedding(self, a: int, b: int) -> _Embedding:
-        """Embedding F_{p^a} -> F_{p^b}, compatible with everything built.
-
-        The stored lattice is kept transitively closed: adding the edge
-        (a, b) also registers the compositions through it, so two requests
-        reachable by different paths always agree.  A new edge takes the
-        code-least root of the degree-a modulus among those commuting with
-        every stored embedding it connects to.
+        """emb(a -> b), a function of (p, a, b) kept in the level table:
+        the code-least root of the degree-a modulus in F_{p^b} whose
+        embedding composes with emb(x -> a) to emb(x -> b) for every
+        divisor 1 < x < a of a, both derived first by the same rule.  One
+        exists because compatible embeddings of subfields extend when the
+        Galois group is cyclic; every triangle then commutes, whatever the
+        order of requests.  Reads levels without registering them.
         """
-        key = (a, b)
-        if key in self._emb:
-            return self._emb[key]
         if b % a:
             raise IncompatibleFields(f"degree {a} does not divide {b}")
-        self.make_field(a)
-        self.make_field(b)
+        lvl = self._level(b)
+        if a in lvl.emb:
+            return lvl.emb[a]
         if a == b:
-            eye = np.eye(a, dtype=np.int64)
-            emb = _Embedding(eye, eye, np.zeros((a, 0), dtype=np.int64))
-            self._emb[key] = emb
-            return emb
-        _, candidates = self._root_candidates(a, b)
-        pre = sorted(x for (x, t) in self._emb if t == a and x != a)
-        post = sorted(y for (s, y) in self._emb if s == b and y != b)
-        constraints = [
-            (x, y)
-            for x in [a] + pre
-            for y in [b] + post
-            if (x, y) != (a, b) and (x, y) in self._emb
-        ]
-        for mat in candidates:
-            if all(self._path_commutes(x, a, mat, b, y) for x, y in constraints):
-                self._register_edge(a, b, mat, pre, post)
-                return self._emb[key]
-        raise InternalInconsistencyError(
-            f"no root of the degree-{a} modulus in F_{self.p}^{b} is compatible "
-            "with the existing embedding lattice"
-        )
-
-    def _path_commutes(self, x: int, a: int, mat_ab: np.ndarray, b: int, y: int) -> bool:
-        """Does x -> a -> b -> y through mat_ab equal the stored x -> y?"""
-        if x == 1:
-            return True  # prime-field embeddings all agree
-        gen_in_a = (
-            self._emb[(x, a)].mat[1]
-            if x != a
-            else np.eye(a, dtype=np.int64)[1]
-        )
-        img = (gen_in_a @ mat_ab) % self.p
-        if y != b:
-            img = (img @ self._emb[(b, y)].mat) % self.p
-        return np.array_equal(img, self._emb[(x, y)].mat[1])
-
-    def _register_edge(self, a: int, b: int, mat: np.ndarray, pre, post):
-        """Store (a, b) and every new composition through it."""
-        self._emb[(a, b)] = self._finish_embedding(a, mat)
-        for x in [a] + pre:
-            for y in [b] + post:
-                if x == a and y == b:
-                    continue
-                if (x, y) in self._emb:
-                    continue
-                m = mat
-                if x != a:
-                    m = (self._emb[(x, a)].mat @ m) % self.p
-                if y != b:
-                    m = (m @ self._emb[(b, y)].mat) % self.p
-                self._emb[(x, y)] = self._finish_embedding(x, m)
+            mat = np.eye(a, dtype=np.int64)
+        else:
+            # the degree-x generator's image in F_{p^a} and in F_{p^b}
+            subs = [
+                (self._embedding(x, a).mat[1], self._embedding(x, b).mat[1])
+                for x in divisors(a)[1:-1]
+            ]
+            _, candidates = self._root_candidates(a, b)
+            mat = next(
+                (m for m in candidates
+                 if all(np.array_equal(g @ m % self.p, img) for g, img in subs)),
+                None,
+            )
+            if mat is None:
+                raise InternalInconsistencyError(
+                    f"no root of the degree-{a} modulus in F_{self.p}^{b} is "
+                    "compatible with its subfield embeddings"
+                )
+        lvl.emb[a] = self._finish_embedding(a, mat)
+        return lvl.emb[a]
 
     def _root_candidates(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """All roots of the degree-a modulus in F_{p^b} (one Frobenius
@@ -547,7 +522,7 @@ class FieldTower:
             raise InternalInconsistencyError("embedding matrix is not injective")
         sec = t[:a].T % self.p
         chk = t[a:].T % self.p
-        return _Embedding(mat, sec, chk)
+        return _Embedding(_frozen(mat), _frozen(sec), _frozen(chk))
 
     # ---- roots of a defining polynomial in a bigger field ----
 
@@ -556,7 +531,7 @@ class FieldTower:
         in the subfield ker(Frob^a - 1), or one from trace splitting."""
         p = self.p
         fid_b = FieldId(p, b)
-        fa = self._levels[a].modulus
+        fa = self._level(a).modulus
         if p**a > _BRUTE_ROOT_BOUND:
             h = np.zeros((a + 1, b), dtype=np.int64)
             h[:, 0] = fa

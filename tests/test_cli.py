@@ -338,9 +338,11 @@ def test_degree_cap_is_per_tower_within_a_batch(runner, tmp_path):
 
 
 def test_batch_writes_the_same_reports_as_single_jobs(runner, tmp_path, monkeypatch):
-    """The jobs of a batch share the process-wide field levels and laws;
-    each job run alone on an empty table and empty law caches, as in a
-    fresh process, writes the same bytes (the first job is repeated)."""
+    """The jobs of a batch share the process-wide field levels, their
+    embeddings included, and laws; each job run alone on an empty table
+    and empty law caches, as in a fresh process, writes the same bytes
+    (the first job is repeated), and so does the batch in reverse order
+    on an empty table."""
     jobs = [
         {"command": "asai", "group": "n2", "q": 3},
         {"command": "asai", "group": "ul(3)", "q": 2, "m": 2},
@@ -351,6 +353,13 @@ def test_batch_writes_the_same_reports_as_single_jobs(runner, tmp_path, monkeypa
     cfg_path.write_text(json.dumps(
         {"jobs": [{**job, "out": str(tmp_path / f"batch-{i}.json")} for i, job in enumerate(jobs)]}))
     assert invoke(runner, ["run", "--config", str(cfg_path)]).exit_code == 0
+    monkeypatch.setattr(fields, "_LEVELS", {})
+    cfg_path.write_text(json.dumps(
+        {"jobs": [{**job, "out": str(tmp_path / f"reverse-{i}.json")}
+                  for i, job in reversed(list(enumerate(jobs)))]}))
+    assert invoke(runner, ["run", "--config", str(cfg_path)]).exit_code == 0
+    for i in range(len(jobs)):
+        assert (tmp_path / f"reverse-{i}.json").read_bytes() == (tmp_path / f"batch-{i}.json").read_bytes()
     for i, job in enumerate(jobs):
         monkeypatch.setattr(fields, "_LEVELS", {})
         builtin.cache_clear()

@@ -1,3 +1,5 @@
+import itertools
+import random
 from functools import partial
 
 import numpy as np
@@ -9,7 +11,6 @@ from asaitwist import fields as fields_module
 from asaitwist.errors import (
     CapExceeded,
     IncompatibleFields,
-    InternalInconsistencyError,
     ParameterError,
 )
 from asaitwist.fields import _BRUTE_ROOT_BOUND, FieldId, FieldTower
@@ -251,13 +252,15 @@ def test_subfield_root_search_evaluates_one_block(a, b, empty_levels):
     assert len(rows) == a + 1 and len(set(rows)) == 1 and rows[0] <= 256
 
 
+def _divisor_pairs(top):
+    """Every (a, b) with a | b <= top, in ascending order."""
+    return [(a, b) for b in range(1, top + 1) for a in fields_module.divisors(b)]
+
+
 def _divisor_lattice(p, top):
-    """Every embedding a -> b with b <= top, built in ascending order."""
+    """Every embedding a -> b with b <= top, requested in ascending order."""
     tower = FieldTower(p)
-    for b in range(1, top + 1):
-        for a in fields_module.divisors(b):
-            tower._embedding(a, b)
-    return tower._emb
+    return {(a, b): tower._embedding(a, b) for a, b in _divisor_pairs(top)}
 
 
 def _assert_same_lattice(lattice, expected):
@@ -281,43 +284,31 @@ def test_embedding_lattice_is_the_same_for_both_root_searches(
     _assert_same_lattice(lattice, traced)
 
 
-# a request order at p = 2 that leaves no 3 -> 6 compatible with the rest
+# a request order at p = 2 in which choosing each edge's root by the
+# edges already present left no 3 -> 6 compatible with the rest
 _CONFLICTING_ORDER = [(6, 18), (3, 18), (6, 12), (3, 12), (3, 6)]
 
 
-@pytest.mark.xfail(raises=InternalInconsistencyError, strict=True)
-def test_embedding_lattice_does_not_depend_on_request_order():
-    """In this order of requests 3 -> 12 and 3 -> 18 are each the least
-    root compatible with the edges present, picked independently, and
-    then no 3 -> 6 commutes with both (known fault)."""
-    tower = FieldTower(2)
-    for a, b in _CONFLICTING_ORDER:
-        tower._embedding(a, b)
-    for x, y, z in [(3, 6, 12), (3, 6, 18)]:
-        composite = tower._emb[(x, y)].mat @ tower._emb[(y, z)].mat % 2
-        assert np.array_equal(composite, tower._emb[(x, z)].mat)
-
-
 def test_lattice_of_a_fresh_tower_ignores_other_towers(empty_levels):
-    """The level table is shared and the embeddings are not: after the
-    conflicting order fails on one tower, a fresh tower's ascending
-    lattice equals the one built on an empty table."""
+    """The conflicting order, requested of one tower on an empty table,
+    gives the ascending lattice that a fresh tower then reads."""
     expected = _divisor_lattice(2, 18)
     empty_levels()
     tower = FieldTower(2)
-    with pytest.raises(InternalInconsistencyError):
-        for a, b in _CONFLICTING_ORDER:
-            tower._embedding(a, b)
+    for a, b in _CONFLICTING_ORDER:
+        tower._embedding(a, b)
     _assert_same_lattice(_divisor_lattice(2, 18), expected)
 
 
 def test_second_tower_takes_its_levels_from_the_table(monkeypatch, empty_levels):
     """A second tower of the same p derives no modulus and searches no
-    root: it registers the first tower's levels, the same read-only
-    arrays, and builds the same embeddings from the stored roots."""
+    root: it registers the first tower's levels and reads their
+    embeddings, the same read-only arrays."""
     edges = [(1, 4), (2, 4), (3, 6), (2, 6), (4, 12), (6, 12)]
     first = FieldTower(2)
     for a, b in edges:
+        first.make_field(a)
+        first.make_field(b)
         first._embedding(a, b)
 
     def refuse(*args):
@@ -327,7 +318,9 @@ def test_second_tower_takes_its_levels_from_the_table(monkeypatch, empty_levels)
     monkeypatch.setattr(FieldTower, "_subfield_root", refuse)
     second = FieldTower(2)
     for a, b in edges:
-        second._embedding(a, b)
+        second.make_field(a)
+        second.make_field(b)
+        assert second._embedding(a, b) is first._embedding(a, b)
     assert second.stats["fields_built"] == first.stats["fields_built"] == 6
     for k in (1, 2, 3, 4, 6, 12):
         fid = FieldId(2, k)
@@ -335,10 +328,23 @@ def test_second_tower_takes_its_levels_from_the_table(monkeypatch, empty_levels)
         old, new = first._level(k), second._level(k)
         assert new is old and new.red is old.red
         assert all(new.frob(e) is old.frob(e) for e in range(k))
-    for key, emb in first._emb.items():
-        assert np.array_equal(second._emb[key].mat, emb.mat), key
     with pytest.raises(ValueError, match="read-only"):
         second._level(4).frob(1)[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        second._embedding(4, 12).sec[0, 0] = 1
+
+
+def test_fields_built_does_not_depend_on_the_table(empty_levels):
+    """Only make_field registers a level: deriving 12 -> 24 on an empty
+    table reads levels 2, 3, 4 and 6 without registering them, so a
+    tower that finds the embedding in the table counts the same."""
+    counts = []
+    for _ in range(2):
+        tower = FieldTower(2)
+        tower._embedding(tower.make_field(12).degree, tower.make_field(24).degree)
+        counts.append(tower.stats["fields_built"])
+    assert fields_module._LEVELS.keys() >= {(2, k) for k in (2, 3, 4, 6)}
+    assert counts == [3, 3]
 
 
 def test_make_field_examples():
@@ -669,9 +675,8 @@ def test_element_canonical_order_is_code_order():
 
 
 def test_embedding_chain_matches_direct_jump():
-    """Chained embeddings and the direct embedding must agree: the lattice
-    is kept transitively closed, so the path 3 -> 9 -> 27 pins down the
-    direct 3 -> 27 (and 9 -> 27 forces 3 -> 27 at registration time)."""
+    """Chained embeddings and the direct embedding must agree: 9 -> 27 is
+    the root whose composite with 3 -> 9 is 3 -> 27, both derived first."""
     tower = FieldTower(3)
     f3, f9, f27 = (tower.make_field(d) for d in (3, 9, 27))
     for code in range(27):
@@ -698,25 +703,30 @@ def test_prime_field_embedding_is_e0(p, b, monkeypatch, empty_levels):
         assert bool(splits) == (bound == 0 or p == 4099)
 
 
-def test_embedding_lattice_order_independent():
-    """Triangle compatibility must hold no matter the construction order."""
-    import itertools
-    import random
+_REQUEST_ORDERS = [
+    pytest.param(p, random.Random(seed).sample(_divisor_pairs(top), k=len(_divisor_pairs(top))),
+                 id=f"p{p}-top{top}-seed{seed}")
+    for p, top in [(2, 24), (3, 12), (5, 8)]
+    for seed in range(3)
+] + [pytest.param(2, _CONFLICTING_ORDER, id="conflicting-order")]
 
-    edges = [(1, 2), (2, 4), (1, 3), (3, 6), (2, 6), (6, 12),
-             (4, 12), (2, 12), (3, 12), (1, 12), (1, 4), (1, 6)]
-    degs = [1, 2, 3, 4, 6, 12]
-    for seed in range(3):
-        shuffled = edges[:]
-        random.Random(seed).shuffle(shuffled)
-        tower = FieldTower(2)
-        for a, b in shuffled:
-            tower._embedding(a, b)
-        for a, b, c in itertools.product(degs, repeat=3):
-            if a < b < c and b % a == 0 and c % b == 0:
-                fa, fb, fc = (tower.make_field(d) for d in (a, b, c))
-                for el in tower.elements(fa):
-                    assert tower.embed(tower.embed(el, fb), fc) == tower.embed(el, fc)
+
+@pytest.mark.parametrize("p,order", _REQUEST_ORDERS)
+def test_embedding_lattice_order_independent(p, order, empty_levels):
+    """Requests in any order, each on an empty level table, give the
+    ascending lattice, and every triangle x | y | z commutes."""
+    top = max(b for _, b in order)
+    expected = _divisor_lattice(p, top)
+    empty_levels()
+    tower = FieldTower(p)
+    for a, b in order:
+        tower._embedding(a, b)
+    lattice = {key: tower._embedding(*key) for key in _divisor_pairs(top)}
+    _assert_same_lattice(lattice, expected)
+    for (x, y), (y2, z) in itertools.product(lattice, repeat=2):
+        if y == y2:
+            composite = lattice[x, y].mat @ lattice[y, z].mat % p
+            assert np.array_equal(composite, lattice[x, z].mat), (x, y, z)
 
 
 def test_artin_schreier_nonzero_trace_forces_second_step():

@@ -15,51 +15,55 @@ from asaitwist.cli import main
 GOLDEN = [
     (
         ["asai", "--group", "n2", "--q", "3", "--m", "2"],
-        "a8bbeaee51fe0b429e1ee74ae056f0b3ec3727d19c9b93da232a41da48dfffc8",
+        "6cb64b9dde825d285254f5aa381c85e862e3a331727a7e4b9028c687e0c950fb",
     ),
     (
         ["asai", "--group", "ul(3)", "--q", "2", "--m", "2"],
-        "4e1352039ccdf4270c9a5a804ed72aa398779bee2304330aa2e96cafa437fa27",
+        "3179ff341ec0e2ca3fe379c1548e2dbdacb40202208efa38b12067a02799a52c",
     ),
     (
         ["asai", "--group", "ga_power(2)", "--q", "2", "--m", "3"],
-        "d6b0d09e250992dd1fd6a9e4d6273fec34c6d535183a10c1e13c1bc5ed81e1ae",
+        "d86061ee992646fee31dfa4bad46c136c6b2f9508a4545a23a4c5922bd8fbbf0",
     ),
     (
         ["easy-check", "--group", "n2", "--q", "3", "--max-m", "2"],
-        "0636f6f6103fad18932ed9e7c224f9146e5ff714def6a859163e22009d2472c6",
+        "85de8f26c6d90d39275c457e8e7833e4f38b80581df248499a15ccfe505d732e",
     ),
     (
         ["asai", "--group", "ul(4)", "--q", "2", "--m", "1"],
-        "ab1deeb553a3202cceda7d935b4c531efd4f8b941af185e9674b5d805b9938f9",
+        "0d2308520b7563d159303861b9a3db569dd960c131c1cbe6e4dc67abd8335c1a",
     ),
     (
         ["classes", "--group", "ul(3)", "--q", "3", "--m", "1"],
-        "319b521e982cdeb1c6aa9531405c27327691c349ea680a91ab5b93d9c4aa786c",
+        "d16a7ba660d7a51619f65f8a03acfe478b2a876e562940ec280fbcf3e8144198",
     ),
     (  # easy_up_to
         ["easy-check", "--group", "ul(3)", "--q", "2", "--max-m", "2"],
-        "a1a037e3ae3e60bdb5f608c7922ed57ddb8c21cc546f2d13403dd0a51fc7f0be",
+        "28b7dfe083e799094d60471ad990a03a8dd7c0fedf6b34f1e5ed2b15b16af731",
     ),
     (  # a cap hit after a non-easiness certificate
         ["easy-check", "--group", "n2", "--q", "3", "--max-m", "3", "--max-order", "81"],
-        "4941557117f72849d913e918a9a1997b640d11b80ebe8b53b694210fcecf33be",
+        "3126334e994312621383d7c892359294d8d386a7e92df58922e0d40f51e9d3d9",
     ),
     (  # the p-power exponent y1^5 at an extension level
         ["asai", "--group", "n2", "--q", "5", "--m", "2"],
-        "97588bb404c6f10bafb212534935c2167e1dc6e55af38e831f872556f512f4b9",
+        "6594c360efc40a25acda74c29693787a76fede4f99c0f073029429ee8e7ee1e9",
     ),
     (  # y1^2 over F_2, levels up to m = 5
         ["easy-check", "--group", "n2", "--q", "2", "--max-m", "5"],
-        "8aa80438dc4c910abd56b3e59b1951f5f66949e95a55062163e983ffcd4e7c64",
+        "3bce01cfb3083314c9947bb772027ea235b09af27482ad8c08179e5d136b552d",
     ),
     (  # inconclusive: a cap hit before any level
         ["easy-check", "--group", "n2", "--q", "3", "--max-m", "2", "--max-order", "5"],
-        "2f7630869f655b1b0b4761d8feaa62f2819960e681b33087af4127373d5be503",
+        "4a1e23a90bee5a6f3de3819a44e2ffc290b74ec4fa2419cb6158b46de992baf7",
     ),
     (  # commutative: every element its own class
         ["easy-check", "--group", "ga_power(2)", "--q", "2", "--max-m", "4"],
-        "61ff190f06819c19fe20f0f9b1ddeca7be5d8604522a17086a8f4e4f2a0e3ed0",
+        "cacea30f711ebeb5b7952d392c9ebb8dc95bc979b674a7543e4abba5938ba036",
+    ),
+    (  # witnesses in F_{2^6} and F_{2^12}: pins the embedding lattice
+        ["asai", "--group", "ul(3)", "--q", "2", "--m", "3"],
+        "641faf598754ff52e2336b40fc037c4fffa800eda38156c18fca0879b71ee89d",
     ),
 ]
 
