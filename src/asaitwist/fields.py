@@ -6,8 +6,9 @@ choices are deterministic:
 
 * the defining polynomial of degree k is the monic irreducible whose
   coefficient vector (c_0, ..., c_{k-1}) minimises the integer code
-  sum(c_i * p^i); irreducibility is Rabin's test, its gcds taken by the
-  level polynomial helpers (over F_p) that trace splitting also uses;
+  sum(c_i * p^i); irreducibility is Berlekamp's criterion, t^{p^k} = t
+  mod f by k products with the candidate's Frobenius matrix, then
+  rank(Frob - 1) = k - 1;
 * each modulus f has one companion matrix x -> t*x mod f: its k-th power
   gives the reduction rows, its p-th power the Frobenius matrix;
 * the embedding F_{p^a} -> F_{p^b} sends the degree-a generator to the
@@ -20,12 +21,15 @@ choices are deterministic:
   when it has at most _BRUTE_ROOT_BOUND elements, the modulus is
   evaluated on them as combinations of a kernel basis, _ROOT_BLOCK at a
   time, until one is a root; above that bound a root comes from
-  splitting by F_p-traces over F_{p^b}.  One root's Frobenius orbit is
-  all of them;
+  splitting by traces from that subfield to F_p, a terms each, over its
+  a basis elements.  One root's Frobenius orbit is all of them;
 * the Artin-Schreier solver t^{p^e} - t = c returns the code-least
   solution in the smallest field of the chain F_{p^{e s}}, F_{p^{e s p}},
   ... containing one.  It solves whole batches of digit rows at once; the
-  scalar call is a batch of one row.
+  scalar call is a batch of one row;
+* every linear question over F_p (embedding sections, subfield
+  membership, Artin-Schreier, the rank in the irreducibility test) is
+  one modp.LinearSolve, whose least solution is the code-least one.
 
 Bulk operations act on numpy int64 "digit" arrays of shape (..., k) with
 entry i the coefficient of t^i.  Scalar and bulk paths share the same
@@ -33,7 +37,7 @@ kernels.
 
 What depends only on (p, k) lives in one process-wide table, _LEVELS:
 the modulus, the reduction matrix, the Frobenius powers, the
-Artin-Schreier factorizations, the sorted roots of every subfield
+Artin-Schreier solvers, the sorted roots of every subfield
 modulus with their powers matrices, and the embedding of every
 subfield.  A tower takes a level from the table and derives it only on
 a miss, so every tower of a process shares it; its arrays are
@@ -63,7 +67,7 @@ from .errors import (
     InternalInconsistencyError,
     ParameterError,
 )
-from .modp import coset_min, kernel_rref, matpow_mod, power, rref_mod
+from .modp import LinearSolve, frozen, kernel_rref, matpow_mod, power
 
 DEFAULT_DEGREE_CAP = 1024
 
@@ -86,20 +90,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def divisors(n: int) -> list[int]:
@@ -169,29 +159,23 @@ class FieldElement:
         return f"F({self.field.p}^{self.field.degree})[{','.join(map(str, self.coeffs))}]"
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: level data is shared by every tower."""
-    a.flags.writeable = False
-    return a
-
-
 class _Level:
     """Data of F_{p^degree} that depends on nothing else: the modulus, the
     reduction matrix, and lazily filled Frobenius powers, Artin-Schreier
-    factorizations, subfield roots and subfield embeddings."""
+    solvers, subfield roots and subfield embeddings."""
 
     def __init__(self, p: int, degree: int, modulus: np.ndarray):
         self.p = p
         self.degree = degree
-        self.modulus = _frozen(modulus)  # (degree+1,) monic over F_p
-        self.red = _frozen(_reduction_matrix(modulus, p))  # (degree-1, degree)
+        self.modulus = frozen(modulus)  # (degree+1,) monic over F_p
+        self.red = frozen(_reduction_matrix(modulus, p))  # (degree-1, degree)
         # frob[e] is the matrix of x -> x^{p^e}: digit row vectors act on the right
         self._frob: dict[int, np.ndarray] = {
-            0: _frozen(np.eye(degree, dtype=np.int64)),
-            1: _frozen(_frobenius_matrix(modulus, p)),
+            0: frozen(np.eye(degree, dtype=np.int64)),
+            1: frozen(_frobenius_matrix(modulus, p)),
         }
-        # Artin-Schreier factorizations keyed by the exponent E with Q = p^E
-        self.as_cache: dict[int, tuple] = {}
+        # as_solve[e]: the solver of x^{p^e} - x = c here
+        self.as_solve: dict[int, LinearSolve] = {}
         # roots[a]: the roots of the degree-a modulus here, in code order,
         # and the powers matrix of each, shape (a, a, degree)
         self.roots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -201,7 +185,7 @@ class _Level:
     def frob(self, e: int) -> np.ndarray:
         e = e % self.degree if self.degree > 1 else 0
         if e not in self._frob:
-            self._frob[e] = _frozen(matpow_mod(self._frob[1], e, self.p))
+            self._frob[e] = frozen(matpow_mod(self._frob[1], e, self.p))
         return self._frob[e]
 
 
@@ -242,8 +226,7 @@ def _values_on_prime_field(coeffs: np.ndarray, p: int) -> np.ndarray:
 @dataclass
 class _Embedding:
     mat: np.ndarray  # (a, kb): row i = digits of (image of generator)^i
-    sec: np.ndarray  # (kb, a): y @ sec recovers source digits for y in image
-    chk: np.ndarray  # (kb, kb-a): y @ chk == 0 iff y lies in the image
+    section: LinearSolve  # of x @ mat = y: source digits of y, if y is an image
 
 
 class FieldTower:
@@ -313,21 +296,18 @@ class FieldTower:
         raise InternalInconsistencyError(f"no irreducible of degree {k} found")
 
     def _is_irreducible(self, coeffs: np.ndarray) -> bool:
-        """Rabin's test: t^{p^k} = t mod f and gcd(t^{p^{k/l}} - t, f) = 1 for primes l | k."""
+        """Berlekamp's criterion: t^{p^k} = t mod f makes f squarefree with
+        factor degrees dividing k, and then the fixed space of x -> x^p on
+        F_p[t]/(f), one dimension per factor, must be F_p alone."""
         p = self.p
         k = len(coeffs) - 1
         frob = _frobenius_matrix(coeffs, p)
-        if not np.array_equal(matpow_mod(frob, k, p), np.eye(k, dtype=np.int64)):
-            return False  # t^{p^k} != t mod f
-        t_vec = np.zeros(k, dtype=np.int64)
-        t_vec[1] = 1
-        prime_field = FieldId(p, 1)
-        for ell in prime_divisors(k):
-            u = matpow_mod(frob, k // ell, p)[1]  # t^{p^{k/ell}} mod f
-            g = self._pp_gcd(prime_field, ((u - t_vec) % p)[:, None], coeffs[:, None])
-            if g.shape[0] != 1:
-                return False
-        return True
+        t = u = _mul_by_t(coeffs, p)[0]  # digits of t mod f
+        for _ in range(k):
+            u = (u @ frob) % p
+        if not np.array_equal(u, t):
+            return False
+        return LinearSolve((frob - np.eye(k, dtype=np.int64)) % p, p).rank == k - 1
 
     # ---- scalar element API ----
 
@@ -380,13 +360,10 @@ class FieldTower:
         lvl = self._level(k)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if a.ndim == 1 and b.ndim == 1:
-            conv = np.convolve(a, b)
-        else:
-            shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-            conv = np.zeros(shape + (2 * k - 1,), dtype=np.int64)
-            for i in range(k):
-                conv[..., i : i + k] += a[..., i : i + 1] * b
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        conv = np.zeros(shape + (2 * k - 1,), dtype=np.int64)
+        for i in range(k):
+            conv[..., i : i + k] += a[..., i : i + 1] * b
         if k == 1:
             return conv % self.p
         if k * k * (self.p - 1) ** 3 >= 1 << 63:  # unreduced, conv[..., k:] @ red could wrap
@@ -414,10 +391,6 @@ class FieldTower:
     def vfrob(self, fid: FieldId, a: np.ndarray, e: int) -> np.ndarray:
         """x -> x^{p^e} applied to every digit row."""
         return (np.asarray(a, dtype=np.int64) @ self._level(fid.degree).frob(e)) % self.p
-
-    def vfixed_by(self, fid: FieldId, a: np.ndarray, sub_degree: int) -> np.ndarray:
-        """Boolean mask: which rows lie in F_{p^sub_degree}."""
-        return np.all(self.vfrob(fid, a, sub_degree) == a, axis=-1)
 
     def _code_weights(self, fid: FieldId) -> np.ndarray:
         """p^0, ..., p^(k-1): the place values of an element code."""
@@ -453,13 +426,12 @@ class FieldTower:
         """Pull digit rows at level src down to level dst (dst.degree | src.degree)."""
         if src == dst:
             return np.asarray(a, dtype=np.int64)
-        emb = self._embedding(dst.degree, src.degree)
-        a = np.asarray(a, dtype=np.int64)
-        if np.any((a @ emb.chk) % self.p):
+        x, ok = self._embedding(dst.degree, src.degree).section.solve(a)
+        if not np.all(ok):
             raise IncompatibleFields(
                 f"element not in the image of F_{self.p}^{dst.degree}"
             )
-        return (a @ emb.sec) % self.p
+        return x
 
     def _embedding(self, a: int, b: int) -> _Embedding:
         """emb(a -> b), a function of (p, a, b) kept in the level table:
@@ -494,7 +466,10 @@ class FieldTower:
                     f"no root of the degree-{a} modulus in F_{self.p}^{b} is "
                     "compatible with its subfield embeddings"
                 )
-        lvl.emb[a] = self._finish_embedding(a, mat)
+        section = LinearSolve(mat, self.p)
+        if section.rank != a:
+            raise InternalInconsistencyError("embedding matrix is not injective")
+        lvl.emb[a] = _Embedding(frozen(mat), section)
         return lvl.emb[a]
 
     def _root_candidates(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -513,31 +488,24 @@ class FieldTower:
             powers[:, 0, 0] = 1
             for i in range(1, a):
                 powers[:, i] = self.vmul(fid_b, powers[:, i - 1], roots)
-            lvl.roots[a] = (_frozen(roots), _frozen(powers))
+            lvl.roots[a] = (frozen(roots), frozen(powers))
         return lvl.roots[a]
-
-    def _finish_embedding(self, a: int, mat: np.ndarray) -> _Embedding:
-        r, t, pivots = rref_mod(mat.T, self.p)
-        if len(pivots) != a:
-            raise InternalInconsistencyError("embedding matrix is not injective")
-        sec = t[:a].T % self.p
-        chk = t[a:].T % self.p
-        return _Embedding(_frozen(mat), _frozen(sec), _frozen(chk))
 
     # ---- roots of a defining polynomial in a bigger field ----
 
     def _subfield_root(self, a: int, b: int) -> np.ndarray:
-        """A root of the degree-a modulus in F_{p^b}: the first one met
-        in the subfield ker(Frob^a - 1), or one from trace splitting."""
+        """A root of the degree-a modulus in F_{p^b}, where all of them lie
+        in the subfield ker(Frob^a - 1): the first one met there, or one
+        from trace splitting over it."""
         p = self.p
         fid_b = FieldId(p, b)
         fa = self._level(a).modulus
+        frob_minus_one = (self._level(b).frob(a) - np.eye(b, dtype=np.int64)) % p
+        basis = kernel_rref(frob_minus_one.T, p)  # (a, b)
         if p**a > _BRUTE_ROOT_BOUND:
             h = np.zeros((a + 1, b), dtype=np.int64)
             h[:, 0] = fa
-            return self._split_root(fid_b, h)
-        frob_minus_one = (self._level(b).frob(a) - np.eye(b, dtype=np.int64)) % p
-        basis = kernel_rref(frob_minus_one.T, p)  # (a, b)
+            return self._split_root(fid_b, h, basis)
         for start in range(0, p**a, _ROOT_BLOCK):
             codes = np.arange(start, min(start + _ROOT_BLOCK, p**a), dtype=np.int64)
             xs = self.codes_to_digits(FieldId(p, a), codes) @ basis % p
@@ -550,40 +518,38 @@ class FieldTower:
                 return xs[int(hits[0])]
         raise InternalInconsistencyError("modulus has no root in the overfield")
 
-    def _split_root(self, fid: FieldId, h: np.ndarray) -> np.ndarray:
-        """Deterministic root of a monic split squarefree polynomial over fid.
+    def _split_root(self, fid: FieldId, h: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Deterministic root of a monic squarefree polynomial h over fid
+        whose roots all lie in the subfield K spanned by the rows of basis.
 
-        Splits by the F_p-trace of w*T for basis elements w until a linear
-        factor remains.
+        Keeps the first proper factor gcd(h, S_w - c), over basis rows w
+        and c in F_p, until a linear factor remains: S_w takes the value
+        Tr_{K/F_p}(w r) at each root r, and the trace form of K is
+        nondegenerate, so some w separates any two roots.
         """
-        p, b = self.p, fid.degree
-        h = self._pp_trim(h)
-        while h.shape[0] - 1 > 1:
+        while h.shape[0] > 2:
             deg = h.shape[0] - 1
-            progressed = False
-            for widx in range(b):
-                u = np.zeros((2, b), dtype=np.int64)
-                u[1, widx] = 1  # w * T
-                u = self._pp_mod(fid, u, h)
-                s = np.zeros((deg, b), dtype=np.int64)
-                s[: u.shape[0]] += u
-                for _ in range(b - 1):
-                    u = self._pp_powp(fid, u, h)
-                    s[: u.shape[0]] = (s[: u.shape[0]] + u) % p
-                for c in range(p):
-                    sc = s.copy()
-                    sc[0, 0] = (sc[0, 0] - c) % p
-                    g = self._pp_gcd(fid, h, sc)
-                    dg = g.shape[0] - 1
-                    if 0 < dg < deg:
-                        h = g if dg <= deg - dg else self._pp_divexact(fid, h, g)
-                        progressed = True
-                        break
-                if progressed:
-                    break
-            if not progressed:
+            h = next(
+                (g for w in basis for g in self._trace_gcds(fid, h, w, len(basis))
+                 if 0 < g.shape[0] - 1 < deg),
+                None,
+            )
+            if h is None:
                 raise InternalInconsistencyError("trace splitting failed to progress")
-        return (-h[0]) % p
+        return (-h[0]) % self.p
+
+    def _trace_gcds(self, fid: FieldId, h: np.ndarray, w: np.ndarray, a: int) -> Iterator:
+        """gcd(h, S_w - c) for c = 0, 1, ..., p - 1, where S_w is the sum
+        of (w T)^{p^j} mod h over j < a, and deg h > 1."""
+        u = np.stack([np.zeros_like(w), w])  # w * T
+        s = np.zeros((h.shape[0] - 1, fid.degree), dtype=np.int64)
+        s[:2] = u
+        for _ in range(a - 1):
+            u = self._pp_powp(fid, u, h)
+            s[: u.shape[0]] += u
+        for _ in range(self.p):
+            yield self._pp_gcd(fid, h, s)
+            s[0, 0] -= 1
 
     # polynomial helpers over a level: coefficient arrays of shape (deg+1, k)
 
@@ -603,30 +569,19 @@ class FieldTower:
                 u[j - d : j + 1] = (u[j - d : j + 1] - self.vmul(fid, cj[None, :], h)) % self.p
         return self._pp_trim(u[:d] if d else u[:1] * 0)
 
-    def _pp_divexact(self, fid: FieldId, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """u // h for monic u, h with h | u."""
-        u = u.copy() % self.p
-        d = h.shape[0] - 1
-        qdeg = u.shape[0] - 1 - d
-        q = np.zeros((qdeg + 1, fid.degree), dtype=np.int64)
-        for j in range(u.shape[0] - 1, d - 1, -1):
-            cj = u[j].copy()
-            q[j - d] = cj
-            if np.any(cj):
-                u[j - d : j + 1] = (u[j - d : j + 1] - self.vmul(fid, cj[None, :], h)) % self.p
-        if np.any(u[:d]):
-            raise InternalInconsistencyError("division was not exact")
-        return q
-
     def _pp_monic(self, fid: FieldId, u: np.ndarray) -> np.ndarray:
+        """u over its leading coefficient l: l^{-1} is l^{r-1} over the norm
+        l^r in F_p, r = (p^k - 1)/(p - 1), and vpow takes l^{r-1} as the
+        product of the k - 1 Frobenius images l^p, ..., l^{p^{k-1}}."""
         u = self._pp_trim(u % self.p)
         lead = u[-1]
         one = np.zeros(fid.degree, dtype=np.int64)
         one[0] = 1
         if np.array_equal(lead, one):
             return u
-        inv = self.vpow(fid, lead, fid.order - 2)
-        return self.vmul(fid, u, inv[None, :])
+        conj = self.vpow(fid, lead, (fid.order - 1) // (self.p - 1) - 1)
+        norm = int(self.vmul(fid, lead, conj)[0])
+        return self.vmul(fid, u, conj[None, :]) * pow(norm, -1, self.p) % self.p
 
     def _pp_gcd(self, fid: FieldId, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = self._pp_trim(u % self.p)
@@ -673,18 +628,23 @@ class FieldTower:
             raise ParameterError(f"c does not lie in an extension of F_{self.p}^{e}")
         c = np.asarray(c, dtype=np.int64)
         self.stats["artin_schreier_solves"] += len(c)
-        # least subfield over the divisor chain; the last divisor is fid
-        base = np.full(len(c), fid.degree, dtype=np.int64)
+        # degree -> (rows, digits there): each row pulled down to the least
+        # field of the divisor chain holding it, whose section solve is the
+        # membership test; fid itself, the last divisor, takes the rest
+        pulled = {}
         todo = np.arange(len(c))
         for s in divisors(fid.degree // e)[:-1]:
-            hit = self.vfixed_by(fid, c[todo], e * s)
-            base[todo[hit]] = e * s
+            if not todo.size:
+                break
+            x, hit = self._embedding(e * s, fid.degree).section.solve(c[todo])
+            if hit.any():
+                pulled[e * s] = (todo[hit], x[hit])
             todo = todo[~hit]
+        if todo.size:
+            pulled[fid.degree] = (todo, c[todo])
         groups = []
-        for degree in np.unique(base).tolist():
-            rows = np.nonzero(base == degree)[0]
+        for degree, (rows, cb) in pulled.items():
             sub = self.make_field(degree)
-            cb = self.vsection(fid, sub, c[rows])
             sol, ok = self._as_try(degree, e, cb)
             if ok.any():
                 groups.append((sub, rows[ok], sol[ok]))
@@ -706,18 +666,7 @@ class FieldTower:
         have one; the digits of the other rows mean nothing.
         """
         lvl = self._level(degree)
-        if e not in lvl.as_cache:
-            a = (lvl.frob(e) - np.eye(degree, dtype=np.int64)) % self.p
-            # column-vector system with digit k-1 most significant
-            brev = a.T[:, ::-1]
-            _, t, pivots = rref_mod(brev, self.p)
-            kern = kernel_rref(brev, self.p)
-            lvl.as_cache[e] = (_frozen(t), _frozen(np.array(pivots, dtype=np.int64)), _frozen(kern))
-        t, pivots, kern = lvl.as_cache[e]
-        tb = (c @ t.T) % self.p
-        rank = len(pivots)
-        ok = ~np.any(tb[:, rank:], axis=1)
-        y = np.zeros((len(c), degree), dtype=np.int64)
-        y[:, pivots] = tb[:, :rank]
-        y = coset_min(y, kern, self.p)
-        return y[:, ::-1], ok
+        if e not in lvl.as_solve:
+            frob_minus_one = (lvl.frob(e) - np.eye(degree, dtype=np.int64)) % self.p
+            lvl.as_solve[e] = LinearSolve(frob_minus_one, self.p)
+        return lvl.as_solve[e].solve(c)

@@ -5,6 +5,8 @@ systems are solved in the usual column-vector convention.
 
 power is the one square-and-multiply loop: matrices mod p, field digit
 rows, lookup-table codes and polynomials each pass it their product.
+LinearSolve is the one solver of x @ M = y: it factors M once and then
+answers every batch of right-hand sides with the code-least solution.
 """
 
 from __future__ import annotations
@@ -66,13 +68,15 @@ def rref_mod(mat: np.ndarray, p: int):
     return m, t, pivots
 
 
-def kernel_rref(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of ker(a) over F_p, returned in reduced row echelon form.
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only."""
+    a.flags.writeable = False
+    return a
 
-    Shape (dim_kernel, ncols); possibly empty.
-    """
-    r, _, pivots = rref_mod(a, p)
-    ncols = a.shape[1]
+
+def _rref_kernel(r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """RREF basis of the kernel of a matrix whose RREF is r with these pivots."""
+    ncols = r.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
         return np.zeros((0, ncols), dtype=np.int64)
@@ -81,22 +85,45 @@ def kernel_rref(a: np.ndarray, p: int) -> np.ndarray:
         vecs[i, f] = 1
         for j, c in enumerate(pivots):
             vecs[i, c] = (-r[j, f]) % p
-    rr, _, _ = rref_mod(vecs, p)
-    return rr
+    return rref_mod(vecs, p)[0]
 
 
-def coset_min(x0: np.ndarray, kernel: np.ndarray, p: int) -> np.ndarray:
-    """Lexicographically least element of x0 + span(kernel), row by row.
+def kernel_rref(a: np.ndarray, p: int) -> np.ndarray:
+    """Basis of ker(a) over F_p, returned in reduced row echelon form.
 
-    x0 has shape (..., n); column 0 is the most significant position.
-    `kernel` must be in RREF; zeroing every pivot coordinate of the coset
-    representative realises the greedy lexicographic minimum.
+    Shape (dim_kernel, ncols); possibly empty.
     """
-    x = np.array(x0, dtype=np.int64) % p
-    for row in kernel:
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        piv = int(nz[0])
-        x = (x - x[..., piv, None] * row) % p
-    return x
+    r, _, pivots = rref_mod(a, p)
+    return _rref_kernel(r, pivots, p)
+
+
+class LinearSolve:
+    """x @ mat = y over F_p for row vectors x, factored once.
+
+    The system is reduced to RREF once, with the unknowns reversed so that
+    the last coordinate of x is the most significant, as in field element
+    codes.  rank and kernel (the RREF basis of {x : x @ mat = 0}, in those
+    reversed coordinates) are read-only.
+    """
+
+    def __init__(self, mat: np.ndarray, p: int):
+        self.p = p
+        r, t, pivots = rref_mod(np.asarray(mat, dtype=np.int64).T[:, ::-1], p)
+        self.rank = len(pivots)
+        self._t = frozen(t)
+        self._pivots = frozen(np.array(pivots, dtype=np.int64))
+        self.kernel = frozen(_rref_kernel(r, pivots, p))
+        # the pivot column of each kernel row is zero in every other row
+        self._kernel_pivots = frozen(np.argmax(self.kernel != 0, axis=1))
+
+    def solve(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least x with x @ mat = y for every row of y (shape (..., m)),
+        and the mask of rows that have a solution; the x of the other rows
+        means nothing.  Zeroing the kernel pivots of the particular solution
+        is the greedy minimum of its coset, all in one product."""
+        tb = (np.asarray(y, dtype=np.int64) @ self._t.T) % self.p
+        ok = ~np.any(tb[..., self.rank :], axis=-1)
+        x = np.zeros(tb.shape[:-1] + (self.kernel.shape[1],), dtype=np.int64)
+        x[..., self._pivots] = tb[..., : self.rank]
+        x = (x - x[..., self._kernel_pivots] @ self.kernel) % self.p
+        return x[..., ::-1], ok

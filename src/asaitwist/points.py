@@ -234,10 +234,6 @@ class FiniteGroupView:
             raise ParameterError("point is not at this view's level or not of its dimension")
         return int(self.ordinals(point_digits(pt)))
 
-    def points(self):
-        for i in range(self.order):
-            yield self.point(i)
-
     def __len__(self) -> int:
         return self.order
 

@@ -162,8 +162,9 @@ def test_criterion_5_class_structure_oracles():
     assert len(t2) == 11 and sorted(t2.sizes) == [1, 1, 1] + [3] * 8
     law, tower, v3, t3, _ = get_run("n2", 3, None, 3, 1)
     ops = v3.ops
-    for a in v3.points():
-        for b in v3.points():
+    pts = [v3.point(i) for i in range(len(v3))]
+    for a in pts:
+        for b in pts:
             assert ops.mul(a, b) == ops.mul(b, a)
     assert t3.sizes == [1] * 9
     pairs = 0

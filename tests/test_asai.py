@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from asaitwist import asai as asai_module
 from asaitwist.asai import (
@@ -19,11 +20,13 @@ from asaitwist.asai import (
     twisted_classes,
 )
 from asaitwist.errors import InternalInconsistencyError, ParameterError
-from asaitwist.fields import FieldTower
+from asaitwist.fields import FieldTower, characteristic
 from asaitwist import points as points_module
 from asaitwist.grouplaw import builtin, eval_mul, parse_group_name
 from asaitwist.lang import lang_solve_bruteforce, lang_solve_triangular
-from asaitwist.points import conjugacy_classes, enumerate_group
+from asaitwist.points import centralizer_counts, conjugacy_classes, enumerate_group
+
+from random_laws import BUILTINS, random_dsl_law
 
 
 @pytest.fixture(scope="module")
@@ -437,3 +440,43 @@ def test_indices_outside_their_range_raise(ul3_result):
         for i in (-1, n):
             with pytest.raises(ParameterError):
                 call(i)
+
+
+def _moved_and_single_component(law, q, m):
+    """(classes the norm map moves, classes whose centralizer growth over
+    F_{q^{mN}}, N = 1..3, reads stable with one component), after checking
+    that no class is both: a moved class has g outside Z(g)°, and g's own
+    component is then a second Frobenius-fixed one at every N."""
+    tower = FieldTower(characteristic(q))
+    table = conjugacy_classes(enumerate_group(law, tower, q, m))
+    fixed = norm_map(table).fixed
+    reps = [table.rep_point(c) for c in range(len(table))]
+    single = [g.stable and g.components == 1
+              for g in centralizer_counts(law, tower, reps, q, m, range(1, 4))]
+    assert not any(s and not f for s, f in zip(single, fixed))
+    return int(np.sum(~fixed)), sum(single)
+
+
+@pytest.mark.parametrize(
+    "group,q,m,moved,single",
+    [
+        ("n2", 3, 1, 6, 3),
+        ("n2", 5, 1, 20, 5),
+        ("n2", 4, 1, 6, 4),
+        ("n2", 3, 2, 24, 9),
+        ("ul(4)", 2, 1, 0, 16),
+    ],
+)
+def test_moved_classes_never_read_one_stable_component(group, q, m, moved, single):
+    """The paper's equivalence as an oracle that shares only the law and
+    conj with the Lang and norm-map layers: centralizer point counts."""
+    law = parse_group_name(group, characteristic(q))
+    assert _moved_and_single_component(law, q, m) == (moved, single)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_dsl_law(groups=BUILTINS + ["ga_power(4)"]))
+def test_moved_classes_of_random_laws_never_read_one_stable_component(drawn):
+    law, p, m = drawn
+    assume(p ** (3 * m * law.dim) <= 10**5)  # the top level F_{p^{3m}}
+    _moved_and_single_component(law, p, m)

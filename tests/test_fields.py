@@ -151,7 +151,7 @@ def test_moduli_and_frobenius_match_long_division_oracle(p, k):
 def test_degree_64_modulus_is_code_least():
     """Past p^(k-1) = 2^63 the code order still holds: t^64 + t^4 + t^3 +
     t + 1 (code 27) is the modulus, and every monic degree-64 candidate
-    with a smaller code fails Rabin's test."""
+    with a smaller code fails the irreducibility test."""
     tower = FieldTower(2)
     expected = (1, 1, 0, 1, 1) + (0,) * 59 + (1,)
     assert tower.modulus(tower.make_field(64)) == expected
@@ -182,38 +182,35 @@ def test_least_irreducible_evaluates_each_upper_part_once(monkeypatch, empty_lev
 def _root_codes(p, a, b, monkeypatch):
     """Codes of _root_candidates(a, b) in a new tower, after checking
     that each is a root of the degree-a modulus; also whether trace
-    splitting ran and whether it divided out a cofactor."""
+    splitting ran."""
     tower = FieldTower(p)
     fa, fb = tower.make_field(a), tower.make_field(b)
-    splits, divisions = [], []
-    split, divexact = tower._split_root, tower._pp_divexact
+    splits = []
+    split = tower._split_root
     monkeypatch.setattr(tower, "_split_root", lambda *args: splits.append(1) or split(*args))
-    monkeypatch.setattr(tower, "_pp_divexact", lambda *args: divisions.append(1) or divexact(*args))
     cands, _ = tower._root_candidates(a, b)
     acc = np.zeros_like(cands)
     for c in reversed(tower.modulus(fa)):
         acc = tower.vmul(fb, acc, cands)
         acc[:, 0] = (acc[:, 0] + c) % p
     assert not acc.any()
-    return tower.digits_to_codes(fb, cands).tolist(), bool(splits), bool(divisions)
+    return tower.digits_to_codes(fb, cands).tolist(), bool(splits)
 
 
 @pytest.mark.parametrize(
-    "p,a,b,brute,divides",
+    "p,a,b,brute",
     [
-        (2, 3, 6, True, False),
-        (3, 2, 6, True, False),
-        (2, 7, 14, True, False),
-        (3, 3, 9, True, False),
-        (5, 2, 6, True, False),
-        (2, 5, 15, True, True),  # trace splitting keeps a cofactor by exact division
-        (2, 13, 26, False, True),
-        (4099, 1, 2, False, False),  # F_p itself is above the bound
+        (2, 3, 6, True),
+        (3, 2, 6, True),
+        (2, 7, 14, True),
+        (3, 3, 9, True),
+        (5, 2, 6, True),
+        (2, 5, 15, True),
+        (2, 13, 26, False),
+        (4099, 1, 2, False),  # F_p itself is above the bound
     ],
 )
-def test_root_candidates_are_all_roots_in_code_order(
-    p, a, b, brute, divides, monkeypatch, empty_levels
-):
+def test_root_candidates_are_all_roots_in_code_order(p, a, b, brute, monkeypatch, empty_levels):
     """Both root-finding paths (brute force over the subfield F_{p^a} up to
     _BRUTE_ROOT_BOUND elements, trace splitting above) give every root of
     the degree-a modulus in F_{p^b}, sorted by code: a distinct roots of a
@@ -221,12 +218,12 @@ def test_root_candidates_are_all_roots_in_code_order(
     bound and again with the bound at 0, which forces trace splitting;
     each run starts from an empty level table, which would otherwise
     hand the second run the roots of the first."""
-    codes, split, _ = _root_codes(p, a, b, monkeypatch)
+    codes, split = _root_codes(p, a, b, monkeypatch)
     assert split != brute
     empty_levels()
     monkeypatch.setattr(fields_module, "_BRUTE_ROOT_BOUND", 0)
-    trace_codes, split, divided = _root_codes(p, a, b, monkeypatch)
-    assert split and divided == divides
+    trace_codes, split = _root_codes(p, a, b, monkeypatch)
+    assert split
     assert trace_codes == codes
     assert len(codes) == a and codes == sorted(set(codes))
 
@@ -250,6 +247,50 @@ def test_subfield_root_search_evaluates_one_block(a, b, empty_levels):
     tower.vmul = counting_vmul
     tower._subfield_root(a, b)
     assert len(rows) == a + 1 and len(set(rows)) == 1 and rows[0] <= 256
+
+
+@pytest.mark.parametrize("p", [13, 31])
+def test_trace_splitting_works_in_the_subfield(p, monkeypatch, empty_levels):
+    """The roots of the degree-2 modulus in F_{p^{2p}} lie in F_{p^2}: its
+    traces have 2 terms, one p-power each, and it has 2 basis rows, so
+    trace splitting makes fewer than b - 1 _pp_powp calls, which one
+    trace over all of F_{p^b} would take alone."""
+    b = 2 * p
+    monkeypatch.setattr(fields_module, "_BRUTE_ROOT_BOUND", 0)
+    tower = FieldTower(p)
+    calls = []
+    powp = tower._pp_powp
+    monkeypatch.setattr(tower, "_pp_powp", lambda *args: calls.append(1) or powp(*args))
+    roots, _ = tower._root_candidates(2, b)
+    assert 0 < len(calls) < b - 1
+    fid = FieldId(p, b)
+    modulus = tower.modulus(FieldId(p, 2))
+    values = tower.vmul(fid, roots, roots) + modulus[1] * roots
+    values[:, 0] += modulus[0]
+    assert not np.any(values % p)
+
+
+# monic polynomials of every degree k over F_p with p^k <= 256
+IRREDUCIBILITY_GRID = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 9) if p**k <= 256]
+
+
+@pytest.mark.parametrize("p,k", IRREDUCIBILITY_GRID)
+def test_is_irreducible_matches_long_division_oracle(p, k):
+    """_is_irreducible holds exactly for the monic f of degree k with no
+    monic factor of degree 1..k//2.  Where the grid has them (p = 2, k = 6
+    and 8, e.g. (t^3+t+1)(t^3+t^2+1)), some reducible f have t^{p^k} = t
+    mod f, so the rank condition is needed to refuse them."""
+    tower = FieldTower(p)
+    passes_frobenius = 0
+    for f in _monic(p, k):
+        irreducible = all(
+            any(_poly_mod(f, g, p)) for d in range(1, k // 2 + 1) for g in _monic(p, d)
+        )
+        assert tower._is_irreducible(np.array(f, dtype=np.int64)) == irreducible, f
+        t_power = _poly_mod([0] * p**k + [1], f, p)  # t^{p^k} mod f
+        passes_frobenius += not irreducible and t_power == _poly_mod([0, 1], f, p)
+    if (p, k) in ((2, 6), (2, 8)):
+        assert passes_frobenius
 
 
 def _divisor_pairs(top):
@@ -330,8 +371,11 @@ def test_second_tower_takes_its_levels_from_the_table(monkeypatch, empty_levels)
         assert all(new.frob(e) is old.frob(e) for e in range(k))
     with pytest.raises(ValueError, match="read-only"):
         second._level(4).frob(1)[0, 0] = 1
+    section = second._embedding(4, 12).section
+    arrays = [v for v in vars(section).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 4 and not any(v.flags.writeable for v in arrays)
     with pytest.raises(ValueError, match="read-only"):
-        second._embedding(4, 12).sec[0, 0] = 1
+        section._t[0, 0] = 1
 
 
 def test_fields_built_does_not_depend_on_the_table(empty_levels):

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asaitwist.fields import FieldTower
 from asaitwist.grouplaw import Polynomial
-from asaitwist.modp import coset_min, kernel_rref, matpow_mod, power, rref_mod
+from asaitwist.modp import LinearSolve, kernel_rref, matpow_mod, power, rref_mod
 from asaitwist.points import _CodeTables
 
 
@@ -78,18 +80,43 @@ def test_coset_min_is_minimum_exhaustive():
     p = 3
     a = np.array([[1, 1, 1]], dtype=np.int64)  # one equation over F_3^3
     b = np.array([2], dtype=np.int64)
-    x0 = solve_mod(a, b, p)
-    kern = kernel_rref(a, p)
-    best = coset_min(x0, kern, p)
-    # enumerate the whole solution set and compare lexicographically
-    sols = []
-    for c0 in range(p):
-        for c1 in range(p):
-            for c2 in range(p):
-                v = np.array([c0, c1, c2])
-                if (a @ v) % p == b % p:
-                    sols.append(tuple(v))
-    assert tuple(best) == min(sols)
+    best, ok = LinearSolve(a.T, p).solve(b)
+    # enumerate the whole solution set; the last coordinate is most significant
+    sols = [v for v in itertools.product(range(p), repeat=3) if (a @ v) % p == b]
+    assert ok and tuple(best) == min(sols, key=lambda v: v[::-1])
+
+
+@st.composite
+def system_and_rhs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    entries = st.integers(0, p - 1)
+    mat = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    rhs = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=1, max_size=4))
+    return np.array(mat, dtype=np.int64), np.array(rhs, dtype=np.int64), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(system_and_rhs())
+def test_linear_solve_matches_enumeration(case):
+    """Against every x in F_p^n: ok holds exactly for the rows y with some
+    x @ mat = y, and x is then the least such x, its last coordinate the
+    most significant; the rank and the kernel agree with the count."""
+    mat, rhs, p = case
+    n = mat.shape[0]
+    xs = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)[:, ::-1]
+    images = (xs @ mat) % p  # xs in order of the reversed coordinates
+    solver = LinearSolve(mat, p)
+    sol, ok = solver.solve(rhs)
+    for y, x, found in zip(rhs, sol, ok):
+        hits = np.flatnonzero(np.all(images == y, axis=1))
+        assert found == bool(hits.size)
+        if found:
+            assert np.array_equal(x, xs[hits[0]])
+    kernel_size = int(np.sum(~np.any(images, axis=1)))
+    assert kernel_size == p ** (n - solver.rank) == p ** len(solver.kernel)
+    assert not np.any((solver.kernel[:, ::-1] @ mat) % p)
 
 
 def test_matpow():

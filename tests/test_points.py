@@ -169,7 +169,7 @@ def test_enumerate_identity_first_and_closure(ul3_f2):
     law, tower, view, _ = ul3_f2
     assert view.point(0).is_identity()
     ops = view.ops
-    pts = list(view.points())
+    pts = [view.point(i) for i in range(len(view))]
     seen = {view.index_of(p) for p in pts}
     assert seen == set(range(8))
     for a in pts:
@@ -187,20 +187,17 @@ def test_enumerate_cap():
 def test_ul3_f2_noncommutative_pair(ul3_f2):
     law, tower, view, _ = ul3_f2
     ops = view.ops
-    pairs = [
-        (a, b)
-        for a in view.points()
-        for b in view.points()
-        if ops.mul(a, b) != ops.mul(b, a)
-    ]
+    pts = [view.point(i) for i in range(len(view))]
+    pairs = [(a, b) for a in pts for b in pts if ops.mul(a, b) != ops.mul(b, a)]
     assert pairs
 
 
 def test_n2_f3_abelian_exhaustive(n2_f3):
     law, tower, view, table = n2_f3
     ops = view.ops
-    for a in view.points():
-        for b in view.points():
+    pts = [view.point(i) for i in range(len(view))]
+    for a in pts:
+        for b in pts:
             assert ops.mul(a, b) == ops.mul(b, a)
     assert len(table) == 9 and table.sizes == [1] * 9
 
@@ -235,7 +232,7 @@ def test_class_invariants(ul3_f2):
 def test_conjugation_preserves_partition(ul3_f2):
     _, _, view, table = ul3_f2
     ops = view.ops
-    for h in view.points():
+    for h in (view.point(i) for i in range(len(view))):
         for ci, members in enumerate(table.members):
             image = {view.index_of(ops.conj(h, view.point(int(i)))) for i in members}
             assert image == set(int(i) for i in members)
@@ -313,7 +310,8 @@ def test_counts_nondecreasing_and_divisible():
     tower = FieldTower(3)
     law = builtin("n2", 3)
     view = enumerate_group(law, tower, 3, 1)
-    for growth in centralizer_counts(law, tower, list(view.points()), 3, 1, range(1, 3)):
+    pts = [view.point(i) for i in range(len(view))]
+    for growth in centralizer_counts(law, tower, pts, 3, 1, range(1, 3)):
         counts = [c for _, c in growth.counts]
         assert counts == sorted(counts)
         assert counts[1] % counts[0] == 0
@@ -412,7 +410,7 @@ def test_conjugation_kernels_match_scalar_oracle():
         view = enumerate_group(law, tower, p, 2)
         table = conjugacy_classes(view)
         ops = view.ops
-        pts = list(view.points())
+        pts = [view.point(i) for i in range(len(view))]
         n = view.order
         mul = [[view.index_of(ops.mul(a, b)) for b in pts] for a in pts]
         inv = [view.index_of(ops.inv(a)) for a in pts]
@@ -429,7 +427,8 @@ def test_conjugation_kernels_match_scalar_oracle():
             cent = [h for h in range(n) if mul[g][h] == mul[h][g]]
             assert centralizer(view, pts[g]).tolist() == cent
 
-        base = list(enumerate_group(law, tower, p, 1).points())
+        base_view = enumerate_group(law, tower, p, 1)
+        base = [base_view.point(i) for i in range(len(base_view))]
         growths = centralizer_counts(law, tower, base, p, 1, range(2, 3))
         for g, growth in zip(base, growths, strict=True):
             ge = view.index_of(ops.embed(g, view.field))
