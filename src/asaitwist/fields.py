@@ -67,7 +67,7 @@ from .errors import (
     InternalInconsistencyError,
     ParameterError,
 )
-from .modp import LinearSolve, frozen, kernel_rref, matpow_mod, power
+from .modp import LinearSolve, digit_power, frozen, kernel_rref, matpow_mod
 
 DEFAULT_DEGREE_CAP = 1024
 
@@ -372,21 +372,10 @@ class FieldTower:
 
     def vpow(self, fid: FieldId, a: np.ndarray, e: int) -> np.ndarray:
         """a^e on every digit row, as the product of (F^j a)^{e_j} over the
-        base-p digits e_j of e: each F^j a is one Frobenius matrix product,
-        and only digits above 1 take square-and-multiply."""
+        base-p digits e_j of e: each F^j a is one Frobenius matrix product."""
         a = np.asarray(a, dtype=np.int64) % self.p
-        mul = partial(self.vmul, fid)
-        out, j = None, 0
-        while e:
-            e, digit = divmod(e, self.p)
-            if digit:  # at least 1, so power never returns its unit
-                fac = power(self.vfrob(fid, a, j) if j else a, digit, mul, None)
-                out = fac if out is None else mul(out, fac)
-            j += 1
-        if out is None:
-            out = np.zeros_like(a)
-            out[..., 0] = 1
-        return out
+        one = None if e else np.zeros_like(a) + np.eye(1, fid.degree, dtype=np.int64)[0]
+        return digit_power(a, e, self.p, partial(self.vmul, fid), partial(self.vfrob, fid), one)
 
     def vfrob(self, fid: FieldId, a: np.ndarray, e: int) -> np.ndarray:
         """x -> x^{p^e} applied to every digit row."""

@@ -5,6 +5,8 @@ systems are solved in the usual column-vector convention.
 
 power is the one square-and-multiply loop: matrices mod p, field digit
 rows, lookup-table codes and polynomials each pass it their product.
+digit_power is the one loop over base-p digits of an exponent, for
+field digit rows and polynomials, whose p-th powers are cheap maps.
 LinearSolve is the one solver of x @ M = y: it factors M once and then
 answers every batch of right-hand sides with the code-least solution.
 """
@@ -25,6 +27,21 @@ def power(base, e: int, mul, one):
         e >>= 1
         if e:
             base = mul(base, base)
+    return one if out is None else out
+
+
+def digit_power(base, e: int, p: int, mul, frob, one):
+    """base**e as the product of frob(base, j)**e_j over the base-p digits
+    e_j of e, where frob(base, j) is base**(p**j), a cheap map in
+    characteristic p (one for e == 0): only digits above 1 take
+    square-and-multiply."""
+    out, j = None, 0
+    while e:
+        e, digit = divmod(e, p)
+        if digit:  # at least 1, so power never returns its unit
+            fac = power(frob(base, j) if j else base, digit, mul, None)
+            out = fac if out is None else mul(out, fac)
+        j += 1
     return one if out is None else out
 
 

@@ -115,8 +115,8 @@ def test_asai_cap_exceeded_exit_4(runner, tmp_path):
 
 
 def test_max_ext_does_not_cap_the_axiom_check_of_a_dsl_law(runner, tmp_path):
-    """Validating a DSL law builds F_{q^2} and F_{q^3}; --max-ext 2 caps
-    the job's fields only, so the DSL run matches the built-in one."""
+    """Validating a DSL law builds no field, so --max-ext 2 caps the
+    job's fields only and the DSL run matches the built-in one."""
     law_file = tmp_path / "ga2.law"
     law_file.write_text(canonical_text(builtin("ga_power", 2, 2)))
     docs = []
@@ -404,24 +404,48 @@ def test_dsl_nonassociative_law_rejected_before_use(runner, tmp_path):
 
 
 def test_validate_samples_every_check_at_q_65536(runner):
-    """|G(F_q)| = 2^48: the draws need no combined codes and the inverse
-    check samples instead of enumerating the group."""
+    """|G(F_q)| = 2^48: the checks are polynomial identities, so the
+    size of the group does not enter."""
     res = invoke(runner, ["validate", "--group", "ul(3)", "--q", "65536"])
     assert res.exit_code == 0
-    lines = res.stdout.splitlines()
-    assert len(lines) == 6 and all(line.startswith("ok   ") for line in lines)
-    assert "ok   inverse (1000 sampled points)" in lines
+    assert res.stdout.splitlines() == ["ok   identity", "ok   associativity", "ok   inverse"]
 
 
-@pytest.mark.parametrize("p,code", [(3000017, 0), (1760000027, 4)])
+@pytest.mark.parametrize("p,code", [(3000017, 0), (1760000027, 0)])
 def test_heisenberg_law_at_a_large_characteristic(runner, tmp_path, p, code):
-    """Field products stay exact at p = 3000017; at the least prime above
-    1.76e9 the degree-2 level would overflow them, so validate stops with
-    exit 4."""
+    """validate builds no field, so a law validates even at the least
+    prime above 1.76e9, whose degree-2 level would overflow int64
+    products (that guard is tested in test_fields)."""
     law = tmp_path / "big.law"
     law.write_text(f"group big dim 2 char {p}\nmul[1] = x1 + y1\nmul[2] = x2 + y2 + x1 * y1\n")
     res = invoke(runner, ["validate", "--dsl", str(law), "--q", str(p)])
     assert res.exit_code == code
+
+
+def test_validate_twist_by_a_large_frobenius_power(runner, tmp_path):
+    """n2 at p = 3000017: associativity composes (y1 + z1)^p, which is
+    y1^p + z1^p only if the power is taken by base-p digits."""
+    p = 3000017
+    law = tmp_path / "n2.law"
+    law.write_text(f"group n2 dim 2 char {p}\nmul[1] = x1 + y1\nmul[2] = x2 + y2 + x1 * y1^{p}\n")
+    res = invoke(runner, ["validate", "--dsl", str(law), "--q", str(p)])
+    assert res.exit_code == 0, res.output
+
+
+def test_law_associative_only_on_small_fields_exits_3(runner, tmp_path):
+    """The cocycle (x1^729 - x1) * y1^2 is additive in x1 over F_27 but
+    not over F_81: the law is rejected before G(F_81) is computed with,
+    not caught as a failed Lang witness (exit 5)."""
+    law = tmp_path / "ext.law"
+    law.write_text(
+        "group ext dim 2 char 3\nmul[1] = x1 + y1\nmul[2] = x2 + y2 + x1^729 * y1^2 - x1 * y1^2\n"
+    )
+    res = invoke(runner, ["validate", "--dsl", str(law), "--q", "3"])
+    assert res.exit_code == 3
+    assert "FAIL associativity (coordinate 2: mul(mul(x, y), z) != mul(x, mul(y, z)))" in res.stdout
+    res = invoke(runner, ["asai", "--dsl", str(law), "--q", "3", "--m", "4"])
+    assert res.exit_code == 3
+    assert "law fails validation: associativity" in res.stderr
 
 
 def test_dsl_law_at_q_65536_validates_then_hits_the_cap(runner, tmp_path):
@@ -434,8 +458,8 @@ def test_dsl_law_at_q_65536_validates_then_hits_the_cap(runner, tmp_path):
 
 
 def test_nonassociative_law_rejected_by_sampled_triples(runner, tmp_path):
-    """121 points over F_11 put the triple count above 10^6, so
-    associativity is sampled; the cocycle x1^2 * y1 still fails it."""
+    """The cocycle x1^2 * y1 over F_11 is not biadditive, so the
+    associativity identity fails as polynomials."""
     bad = tmp_path / "na.law"
     bad.write_text(
         "group na dim 2 char 11\nmul[1] = x1 + y1\nmul[2] = x2 + y2 + x1^2 * y1\n"
@@ -443,8 +467,9 @@ def test_nonassociative_law_rejected_by_sampled_triples(runner, tmp_path):
     res = invoke(runner, ["validate", "--dsl", str(bad), "--q", "11"])
     assert res.exit_code == 3
     lines = res.stdout.splitlines()
-    assert "FAIL associativity (1000 sampled triples)" in lines
-    assert any(line.endswith(" inverse (all 121 points)") for line in lines)
+    assert "FAIL associativity (coordinate 2: mul(mul(x, y), z) != mul(x, mul(y, z)))" in lines
+    # inv is derived as the right inverse; without associativity it is not a left one
+    assert "FAIL inverse (coordinate 2: mul(inv(x), x) != 0)" in lines
 
 
 def _as_job(command, args):
@@ -550,8 +575,8 @@ def test_growth_script_cap_exceeded_exit_4(monkeypatch, capsys):
         (["--q", "1"], "prime power"),
         (["--levels", "0"], "--levels must be at least 1"),
         (["--group", "sl(2)"], "unknown family"),
-        (["--max-order", "0"], "max_order, max_ext and sample_budget must be positive"),
-        (["--max-order", "-3"], "max_order, max_ext and sample_budget must be positive"),
+        (["--max-order", "0"], "max_order and max_ext must be positive"),
+        (["--max-order", "-3"], "max_order and max_ext must be positive"),
     ],
 )
 def test_growth_script_bad_options_exit_3(monkeypatch, capsys, args, reason):
@@ -567,7 +592,7 @@ def test_growth_script_bad_options_exit_3(monkeypatch, capsys, args, reason):
     "args,reason",
     [
         (["--max-m", "0"], "m and max_m must be at least 1"),
-        (["--max-order", "0"], "max_order, max_ext and sample_budget must be positive"),
+        (["--max-order", "0"], "max_order and max_ext must be positive"),
     ],
 )
 def test_survey_script_bad_options_exit_3(monkeypatch, capsys, args, reason):

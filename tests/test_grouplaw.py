@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asaitwist import grouplaw
 from asaitwist.errors import (
     GroupLawSemanticError,
     GroupLawSyntaxError,
@@ -28,6 +27,8 @@ from asaitwist.grouplaw import (
     ul_coordinates,
     validate_law,
 )
+from asaitwist.modp import power
+from random_laws import BUILTINS, random_dsl_law
 
 N2_TEXT = """group n2 dim 2 char 3
 mul[1] = x1 + y1
@@ -350,19 +351,18 @@ def test_dsl_round_trip_random_laws(law):
     assert parse_group_dsl(canonical_text(law)) == law
 
 
+CHECKS = ["identity", "associativity", "inverse"]
+
+
 def test_validate_builtin_ul3():
-    tower = FieldTower(2)
-    rep = validate_law(builtin("ul", 2, 3), tower, 2)
+    rep = validate_law(builtin("ul", 2, 3), FieldTower(2), 2)
     assert rep.passed
-    assert any("exhaustive" in d for _, _, d in rep.checks)
+    assert [name for name, _, _ in rep.checks] == CHECKS
 
 
 def test_validate_n2_exhaustive_at_f3():
-    tower = FieldTower(3)
-    rep = validate_law(builtin("n2", 3), tower, 3)
-    assert rep.passed
-    assoc = [d for nm, ok, d in rep.checks if nm == "associativity"][0]
-    assert "9^3" in assoc
+    rep = validate_law(builtin("n2", 3), FieldTower(3), 3)
+    assert rep.checks == [(name, True, "") for name in CHECKS]
 
 
 def test_validate_detects_identity_violation():
@@ -381,50 +381,85 @@ def test_validate_detects_identity_violation():
     assert any(nm == "identity" and not ok for nm, ok, _ in rep.checks)
 
 
-def test_validate_samples_every_coordinate_above_int64_codes(monkeypatch):
-    """ul(4) over F_16 at level 3 has (2^12)^6 = 2^72 points: the sampled
-    triples are uniform digit arrays, so the leading coordinate takes far
-    more than the 4 values that codes clamped below 2^62 could give it."""
-    seen = []
-
-    def recording(law, tower, fid, x, y):
-        if fid.degree == 12:
-            seen.append(tower.digits_to_codes(fid, x[..., 0, :]))
-        return eval_mul(law, tower, fid, x, y)
-
-    monkeypatch.setattr(grouplaw, "eval_mul", recording)
-    rep = validate_law(builtin("ul", 2, 4), FieldTower(2), 16)
-    assert rep.passed
-    assert len(np.unique(seen[0])) > 500
-
-
 def test_validate_samples_inverse_above_a_million_points():
-    """ul(3) over F_2^16 has 2^48 points; a wrong inverse is still caught."""
+    """ul(3) over F_2^16 has 2^48 points; a wrong inverse is caught
+    exactly, on the coordinate it breaks."""
     law = builtin("ul", 2, 3)
     x = [Polynomial.variable(2, 6, i) for i in range(3)]
-    rep = validate_law(law, FieldTower(2), 65536, sample_budget=200)
-    assert rep.passed
-    assert ("inverse", True, "200 sampled points") in rep.checks
+    assert validate_law(law, FieldTower(2), 65536).passed
     broken = replace(law, inv=tuple(x))  # drops the x1 * x2 term of inv_3
-    rep = validate_law(broken, FieldTower(2), 65536, sample_budget=200)
-    assert rep.failures() == ["inverse: 200 sampled points"]
+    rep = validate_law(broken, FieldTower(2), 65536)
+    assert rep.failures() == ["inverse: coordinate 3: mul(x, inv(x)) != 0"]
 
 
-def test_validate_checks_large_budgets_in_chunks(monkeypatch):
-    """A budget one row above the chunk is drawn and checked in two chunks,
-    so no evaluation sees more rows than the chunk; 2^21 points put every
-    check on samples."""
-    rows = []
+# associative on G over F_3^k for k | 6, as the cocycle (x1^729 - x1) * y1^2
+# is additive in x1 there; not over F_81, nor as polynomials
+EXTENSION_ONLY = """group ext dim 2 char 3
+mul[1] = x1 + y1
+mul[2] = x2 + y2 + x1^729 * y1^2 - x1 * y1^2
+"""
 
-    def recording(law, tower, fid, x, y):
-        rows.append(len(x))
-        return eval_mul(law, tower, fid, x, y)
 
-    monkeypatch.setattr(grouplaw, "eval_mul", recording)
-    chunk = grouplaw._SAMPLE_CHUNK
-    rep = validate_law(builtin("ul", 2, 3), FieldTower(2), 1 << 7, sample_budget=chunk + 1)
-    assert rep.passed and len(rep.checks) == 6
-    assert max(rows) == chunk and 1 in rows
+def axioms_hold_on_all_points(law: GroupLaw, tower: FieldTower, fid) -> bool:
+    """Exhaustive numeric oracle: associativity on every triple of G(F),
+    one first factor at a time, and both inverse identities on every point."""
+    elems = all_tuples(tower, fid, law.dim)
+    invs = eval_inv(law, tower, fid, elems)
+    if eval_mul(law, tower, fid, elems, invs).any() or eval_mul(law, tower, fid, invs, elems).any():
+        return False
+    y, z = elems[:, None], elems[None, :]
+    yz = eval_mul(law, tower, fid, y, z)
+    for x in elems:
+        lhs = eval_mul(law, tower, fid, eval_mul(law, tower, fid, x, y), z)
+        if not np.array_equal(lhs, eval_mul(law, tower, fid, x, yz)):
+            return False
+    return True
+
+
+def test_validate_rejects_a_law_associative_only_on_small_fields():
+    law = parse_group_dsl(EXTENSION_ONLY)
+    tower = FieldTower(3)
+    for k in (1, 2):
+        assert axioms_hold_on_all_points(law, tower, tower.make_field(k))
+    rep = validate_law(law, tower, 3)
+    assert not rep.passed
+    assert ("associativity", False, "coordinate 2: mul(mul(x, y), z) != mul(x, mul(y, z))") in rep.checks
+    # the triples ((x1, 0), (1, 0), (1, 0)) over F_81: the two sides differ
+    # by 2 (x1^729 - x1), which vanishes only for x1 in F_81 ∩ F_729 = F_9
+    fid = tower.make_field(4)
+    x = all_tuples(tower, fid, 2, np.arange(0, 81 * 81, 81))  # (x1, 0), x1 in F_81
+    one = all_tuples(tower, fid, 2, np.array([81]))  # (1, 0)
+    lhs = eval_mul(law, tower, fid, eval_mul(law, tower, fid, x, one), one)
+    rhs = eval_mul(law, tower, fid, x, eval_mul(law, tower, fid, one, one))
+    assert (lhs != rhs).any(axis=(1, 2)).sum() == 81 - 9  # x1 outside F_9
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_triangular_law())
+def test_validated_laws_pass_the_exhaustive_oracle(law):
+    tower = FieldTower(law.p)
+    if validate_law(law, tower, law.p).passed:
+        assert axioms_hold_on_all_points(law, tower, tower.make_field(1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_dsl_law(groups=BUILTINS + ["ga_power(4)"]))
+def test_random_dsl_laws_validate(drawn):
+    law, p, _ = drawn
+    assert validate_law(law, FieldTower(p), p).passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.tuples(st.integers(1, 4), st.tuples(*[st.integers(0, 2)] * 3)), max_size=3),
+    st.integers(0, 30),
+)
+def test_pow_by_digits_matches_square_and_multiply(p, raw, extra):
+    f = Polynomial.make(p, 3, raw)
+    one = Polynomial.make(p, 3, [(1, (0, 0, 0))])
+    for e in {0, 1, p, p + 1, p * p, 2 * p + 3, extra}:
+        assert f.pow(e) == power(f, e, Polynomial.mul, one), e
 
 
 def test_validate_bad_q():
