@@ -1,11 +1,11 @@
 """The norm map on conjugacy classes and the Asai twisting operator.
 
 The norm map sends a class of g = x * F^m(x)^{-1} in G(F_{q^m}) to the
-class of F^m(x)^{-1} * x = x^{-1} g x, computed here through the
-triangular Lang solver; the twisting operator is its pullback acting on
-class functions.  The operator is the identity exactly when the norm map
-fixes every class, which is decided on the class permutation, never
-through numeric comparison of functions.
+class of F^m(x)^{-1} * x = x^{-1} g x, with x from the triangular Lang
+solver; the twisting operator is its pullback acting on class functions.
+The operator is the identity exactly when the norm map fixes every
+class, which is decided on the class permutation, never through numeric
+comparison of functions.
 
 For a class fixed by the norm map there is a centralizer witness: some
 z in Z(g) at a finite level with z^{-1} F^m(z) = g.  Concretely, if
@@ -20,8 +20,9 @@ the checks on the images, the class lookup of the images, and z with
 both of its checks for every fixed class.  y is the least such rational
 element, found for every fixed class of a chunk and level by one call
 of the coordinate-prefix filter FiniteGroupView.find_conjugators.  The
-checks take one product or one conjugation per side: x^{-1} g x is the
-law's conj at (g, x), z g == g z is checked as conj(g, z) == g, and
+checks take one product or one conjugation per side: the image
+x^{-1} g x is the law's conj at (g, x), checked to be F^m(x)^{-1} x as
+F^m(x) * image == x; z g == g z is checked as conj(g, z) == g, and
 z^{-1} F^m(z) == g as F^m(z) == z g.  centralizer_witness only reads the
 result: a class's witness is its point z.
 """
@@ -93,13 +94,14 @@ class NormMapResult:
 def norm_map(table: ClassTable) -> NormMapResult:
     """Batched Lang solve; asserts rather than assumes well-definedness.
 
-    Every computed image F^m(x)^{-1} x is checked to equal x^{-1} g x,
-    evaluated as conj(g, x), and to be fixed by F^m before it is located
-    in the class table.  Every fixed class gets its centralizer witness
-    here, and both of its checks run exactly: z g = g z as conj(g, z) = g
-    and z^{-1} F^m(z) = g as F^m(z) = z g (_witness_checks).  A failure
-    is recorded in witness_errors, the one verdict on witnesses, and
-    raised by centralizer_witness.  Extension degrees are bounded by the
+    The image x^{-1} g x is evaluated as conj(g, x) and checked to be
+    F^m(x)^{-1} x as F^m(x) * image == x, one product, and to be fixed
+    by F^m before it is located in the class table.  Every fixed class
+    gets its centralizer witness here, and both of its checks run
+    exactly: z g = g z as conj(g, z) = g and z^{-1} F^m(z) = g as
+    F^m(z) = z g (_witness_checks).  A failure is recorded in
+    witness_errors, the one verdict on witnesses, and raised by
+    centralizer_witness.  Extension degrees are bounded by the
     tower's degree_cap (CapExceeded above it).
     """
     view = table.view
@@ -121,8 +123,8 @@ def norm_map(table: ClassTable) -> NormMapResult:
             conj = partial(eval_polys, law.conj, tower, lvl)
             frob = partial(tower.vfrob, lvl, e=base.degree)
             ge = tower.vembed(base, lvl, g[rows])
-            img = mul(inv(frob(x)), x)
-            if not np.array_equal(conj(ge, x), img):
+            img = conj(ge, x)
+            if not np.array_equal(mul(frob(x), img), x):
                 raise InternalInconsistencyError(
                     "x^{-1} g x != F^m(x)^{-1} x despite x solving the Lang equation"
                 )

@@ -529,16 +529,24 @@ class FieldTower:
 
     def _trace_gcds(self, fid: FieldId, h: np.ndarray, w: np.ndarray, a: int) -> Iterator:
         """gcd(h, S_w - c) for c = 0, 1, ..., p - 1, where S_w is the sum
-        of (w T)^{p^j} mod h over j < a, and deg h > 1."""
+        of (w T)^{p^j} mod h over j < a, and deg h > 1.  A constant S_w,
+        0 included, splits nothing and yields none.  Otherwise S_w is made
+        monic once: gcd(h, S_w - c) = gcd(h, S_w/l - c/l), l its leading
+        coefficient, so each next c shifts the constant term by -1/l."""
         u = np.stack([np.zeros_like(w), w])  # w * T
         s = np.zeros((h.shape[0] - 1, fid.degree), dtype=np.int64)
         s[:2] = u
         for _ in range(a - 1):
             u = self._pp_powp(fid, u, h)
             s[: u.shape[0]] += u
+        s = self._pp_trim(s % self.p)
+        if s.shape[0] == 1:
+            return
+        step = self._inverse(fid, s[-1])
+        s = self.vmul(fid, s, step[None, :])
         for _ in range(self.p):
             yield self._pp_gcd(fid, h, s)
-            s[0, 0] -= 1
+            s[0] = (s[0] - step) % self.p
 
     # polynomial helpers over a level: coefficient arrays of shape (deg+1, k)
 
@@ -558,19 +566,20 @@ class FieldTower:
                 u[j - d : j + 1] = (u[j - d : j + 1] - self.vmul(fid, cj[None, :], h)) % self.p
         return self._pp_trim(u[:d] if d else u[:1] * 0)
 
-    def _pp_monic(self, fid: FieldId, u: np.ndarray) -> np.ndarray:
-        """u over its leading coefficient l: l^{-1} is l^{r-1} over the norm
-        l^r in F_p, r = (p^k - 1)/(p - 1), and vpow takes l^{r-1} as the
-        product of the k - 1 Frobenius images l^p, ..., l^{p^{k-1}}."""
-        u = self._pp_trim(u % self.p)
-        lead = u[-1]
-        one = np.zeros(fid.degree, dtype=np.int64)
-        one[0] = 1
-        if np.array_equal(lead, one):
-            return u
+    def _inverse(self, fid: FieldId, lead: np.ndarray) -> np.ndarray:
+        """lead^{-1} for nonzero lead: lead^{r-1} over the norm lead^r in
+        F_p, r = (p^k - 1)/(p - 1), and vpow takes lead^{r-1} as the
+        product of the k - 1 Frobenius images lead^p, ..., lead^{p^{k-1}}."""
         conj = self.vpow(fid, lead, (fid.order - 1) // (self.p - 1) - 1)
         norm = int(self.vmul(fid, lead, conj)[0])
-        return self.vmul(fid, u, conj[None, :]) * pow(norm, -1, self.p) % self.p
+        return conj * pow(norm, -1, self.p) % self.p
+
+    def _pp_monic(self, fid: FieldId, u: np.ndarray) -> np.ndarray:
+        """u over its leading coefficient."""
+        u = self._pp_trim(u % self.p)
+        if u[-1, 0] == 1 and not u[-1, 1:].any():
+            return u
+        return self.vmul(fid, u, self._inverse(fid, u[-1])[None, :])
 
     def _pp_gcd(self, fid: FieldId, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = self._pp_trim(u % self.p)

@@ -1,25 +1,26 @@
 """Solving the Lang equation x * F^m(x)^{-1} = g at finite levels.
 
 F^m is the Frobenius of F_{q^m} = F_{p^e}, the field g lives in, so the
-level is read from g.  For a triangular law the i-th coordinate of
-x * F^m(x)^{-1} is t_i - t_i^{p^e} + (known expression in t_1..t_{i-1}),
-so each coordinate is one Artin-Schreier equation t^{p^e} - t = c over
-the field generated so far.  Every step extends the working field by a
-factor of at most p, so the witness lives in degree at most p^d * e over
-F_p.  The tower's degree_cap is the only limit on that degree: a solve
-that needs a larger field raises CapExceeded when the tower is asked to
-build it.
+level is read from g.  The solver and every check use the equation in
+product form, g * F^m(x) = x: one product and no inverse.  For a
+triangular law mul_i(x, y) = x_i + y_i + (terms in x_1..x_{i-1},
+y_1..y_{i-1}), so with x_i = t coordinate i reads
+t^{p^e} - t = -mul_i(g, F^m(xt)), xt the partial solution with
+coordinates >= i still zero: each coordinate is one Artin-Schreier
+equation t^{p^e} - t = c over the field generated so far.  Every step
+extends the working field by a factor of at most p, so the witness lives
+in degree at most p^d * e over F_p.  The tower's degree_cap is the only
+limit on that degree: a solve that needs a larger field raises
+CapExceeded when the tower is asked to build it.
 
 lang_solve_batch solves many g at once on (rows, d, e) digit arrays.  It
 walks the coordinates with the rows grouped by their current level,
 solves each group's Artin-Schreier equations in one call, and regroups
-the rows whose solution moved to a larger field.  Step i evaluates only
-coordinate i of x * F^m(x)^{-1}: inv_1..inv_i on F^m(x), then mul_i,
-each without its terms in x_i..x_d, which are still zero.  Every row is
-verified on the full law by one vectorized g * F^m(x) == x check, the
-Lang equation with the inverse moved across: one product, no inverse.
-verify_witness and the brute-force scan use the same equation.
-lang_solve_triangular is the same solve for one point.
+the rows whose solution moved to a larger field.  Every row is verified
+on the full law by one vectorized g * F^m(x) == x check.
+verify_witness and the brute-force scan use the same equation, and the
+solve reads law.mul only.  lang_solve_triangular is the same solve for
+one point.
 
 The brute-force solver scans whole groups level by level; it exists as an
 independent oracle for the triangular one and is exponential in the
@@ -39,7 +40,7 @@ from .errors import (
     ParameterError,
 )
 from .fields import FieldId, FieldTower, p_power_exponent
-from .grouplaw import GroupLaw, Polynomial, all_tuples, eval_mul, eval_polys
+from .grouplaw import GroupLaw, all_tuples, eval_mul
 
 # perfbench/tracer.py wraps eval_inv at this import site, as in points
 from .grouplaw import eval_inv  # noqa: F401
@@ -65,25 +66,11 @@ def _solves_lang(law: GroupLaw, tower: FieldTower, fid: FieldId, x, g, e: int) -
     return np.all(lhs == x, axis=(-2, -1))
 
 
-def _lang_steps(law: GroupLaw) -> list[tuple[tuple[Polynomial, ...], Polynomial]]:
-    """Per coordinate i: inv_1..inv_i and mul_i without their terms in
-    x_i..x_d, which are zero in the partial solution of step i.  mul_i
-    reads no y_j with j > i, so the i inverse coordinates suffice."""
-    d = law.dim
-    steps = []
-    for i in range(d):
-        later = range(i, d)
-        steps.append(
-            (tuple(poly.without(later) for poly in law.inv[: i + 1]), law.mul[i].without(later))
-        )
-    return steps
-
-
-def _step_value(tower: FieldTower, fid: FieldId, step, xt, e: int) -> np.ndarray:
-    """Coordinate i of xt * F^e(xt)^{-1}, xt zero in coordinates >= i and
-    step the i-th entry of _lang_steps: shape (..., k)."""
-    inv, mul = step
-    return mul.evaluate(tower, fid, xt, eval_polys(inv, tower, fid, tower.vfrob(fid, xt, e)))
+def _step_rhs(law: GroupLaw, tower: FieldTower, fid: FieldId, i: int, g, xt, e: int) -> np.ndarray:
+    """c of step i's t^{p^e} - t = c: -mul_i(g, F^e(xt)), coordinate i of
+    g * F^e(x) = x with x_i = t moved across, for xt zero in coordinates
+    >= i on digit arrays (..., d, k) over fid: shape (..., k)."""
+    return -law.mul[i].evaluate(tower, fid, g, tower.vfrob(fid, xt, e)) % law.p
 
 
 def default_degree_cap(law: GroupLaw, q: int, m: int) -> int:
@@ -113,12 +100,11 @@ def lang_solve_batch(
     # level degree -> (rows, partial points); coordinates >= i stay zero
     # and do not feed back into coordinate i for triangular laws
     levels = {base.degree: (np.arange(len(g)), np.zeros_like(g))}
-    for i, step in enumerate(_lang_steps(law)):
+    for i in range(law.dim):
         solved: dict[int, list] = {}
         for degree, (rows, xt) in levels.items():
             cur = FieldId(law.p, degree)
-            z = _step_value(tower, cur, step, xt, base.degree)
-            c = (z - tower.vembed(base, cur, g[rows, i])) % law.p
+            c = _step_rhs(law, tower, cur, i, tower.vembed(base, cur, g[rows]), xt, base.degree)
             for fid, sel, t in tower.vartin_schreier_solve(cur, c, base.degree):
                 if fid.degree > degree:
                     level, x = fid, tower.vembed(cur, fid, xt[sel])

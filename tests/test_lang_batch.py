@@ -2,9 +2,12 @@
 
 The laws are random triangular DSL laws (`random_laws`) of dimension 2
 to 4 over F_2, F_3 and F_5.  The batch is checked against the one-row
-solve, the scalar witness check and the brute-force solver, and each
-step's restricted evaluation against the full x * F^m(x)^{-1}.
+solve, the scalar witness check and the brute-force solver, and its
+product-form steps against a solve whose steps read the full
+x * F^m(x)^{-1} (inverse_form_solve).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from asaitwist import lang as lang_module
 from asaitwist.asai import centralizer_witness, norm_map
 from asaitwist.cli import main
 from asaitwist.errors import CapExceeded, InternalInconsistencyError, ParameterError
-from asaitwist.fields import FieldTower
+from asaitwist.fields import FieldId, FieldTower
 from asaitwist.grouplaw import (
     Polynomial,
     all_tuples,
@@ -124,23 +127,51 @@ def test_cli_cap_exceeded_from_batch_exits_4(tmp_path):
     assert "cap exceeded" in res.output
 
 
+def inverse_form_solve(law, tower, g):
+    """Oracle: lang_solve_batch's walk with each step read from the inverse
+    form, coordinate i of xt * F^e(xt)^{-1} = g on the full law (xt zero
+    in coordinates >= i), and no final check.  Returns its (field, rows,
+    x) groups."""
+    base = tower.make_field(g.shape[-1])
+    e = base.degree
+    levels = {e: (np.arange(len(g)), np.zeros_like(g))}
+    for i in range(law.dim):
+        solved = {}
+        for degree, (rows, xt) in levels.items():
+            cur = FieldId(law.p, degree)
+            inv = eval_inv(law, tower, cur, tower.vfrob(cur, xt, e))
+            lang_map = eval_mul(law, tower, cur, xt, inv)
+            c = (lang_map[:, i] - tower.vembed(base, cur, g[rows, i])) % law.p
+            for fid, sel, t in tower.vartin_schreier_solve(cur, c, e):
+                level = max(fid, cur, key=lambda f: f.degree)
+                x = tower.vembed(cur, level, xt[sel])
+                x[:, i] = tower.vembed(fid, level, t)
+                solved.setdefault(level.degree, []).append((rows[sel], x))
+        levels = {
+            degree: tuple(np.concatenate(arrays) for arrays in zip(*parts))
+            for degree, parts in sorted(solved.items())
+        }
+    return [(FieldId(law.p, degree), rows, x) for degree, (rows, x) in levels.items()]
+
+
+def assert_same_groups(got, want):
+    assert [fid for fid, _, _ in got] == [fid for fid, _, _ in want]
+    for (_, rows, x), (_, rows_want, x_want) in zip(got, want):
+        assert np.array_equal(rows, rows_want)
+        assert np.array_equal(x, x_want)
+
+
 def assert_steps_match_the_full_lang_map(law, e, seed):
-    """At every step i, on random partial solutions (coordinates >= i
-    zero) at the base level F_{p^e} and at F_{p^{pe}}, the restricted
-    step value equals coordinate i of the full x * F^e(x)^{-1}."""
+    """On random points g of G(F_{p^e}) and the identity, the product-form
+    solve returns the inverse-form oracle's groups.  Equal witnesses mean
+    equal step values, c = t^{p^e} - t for each coordinate t of x, so
+    every step -mul_i(g, F^e(xt)) equals coordinate i of the full
+    xt * F^e(xt)^{-1} minus g_i."""
     tower = FieldTower(law.p)
     rng = np.random.default_rng(seed)
-    steps = lang_module._lang_steps(law)
-    assert len(steps) == law.dim
-    for k in (e, law.p * e):
-        fid = tower.make_field(k)
-        x = rng.integers(0, law.p, size=(30, law.dim, k))
-        for i, step in enumerate(steps):
-            xt = x.copy()
-            xt[:, i:] = 0
-            full = eval_mul(law, tower, fid, xt, eval_inv(law, tower, fid, tower.vfrob(fid, xt, e)))
-            got = lang_module._step_value(tower, fid, step, xt, e)
-            assert np.array_equal(got, full[:, i]), (i, k)
+    g = rng.integers(0, law.p, size=(31, law.dim, e))
+    g[0] = 0
+    assert_same_groups(lang_solve_batch(law, tower, g), inverse_form_solve(law, tower, g))
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,24 +195,38 @@ def test_step_values_match_the_full_lang_map_on_mid_central(p, e):
     assert_steps_match_the_full_lang_map(parse_group_dsl(MID_CENTRAL.format(p=p)), e, seed=e)
 
 
+@pytest.mark.parametrize(
+    "law,q,m",
+    [(parse_group_name("n2", 3), 3, 2), (parse_group_name("ul(4)", 2), 2, 1),
+     (parse_group_dsl(MID_CENTRAL.format(p=2)), 2, 2)],
+    ids=["n2-3-2", "ul(4)-2-1", "mid_central-2-2"],
+)
+def test_the_lang_solve_reads_no_inverse(law, q, m):
+    """With every inverse coordinate replaced by 0, the solve still returns
+    the oracle's witnesses on every point: it reads law.mul only."""
+    blind = dataclasses.replace(law, inv=tuple(Polynomial.zero(law.p, f.nvars) for f in law.inv))
+    tower = FieldTower(law.p)
+    g = enumerate_group(law, tower, q, m).digits(np.arange(q ** (m * law.dim)))
+    assert_same_groups(lang_solve_batch(blind, tower, g), inverse_form_solve(law, tower, g))
+
+
 @pytest.mark.parametrize("group,p,m", [("n2", 3, 2), ("ul(3)", 2, 2), ("ul(4)", 2, 1)])
 def test_a_wrong_step_value_fails_the_lang_check(monkeypatch, group, p, m):
-    """One row's value at the last step is off by one, so the Artin-Schreier
-    root and the witness x solve the wrong equation: the check on the
-    full law rejects the batch."""
+    """One row's right-hand side at the last step is off by one, so the
+    Artin-Schreier root and the witness x solve the wrong equation: the
+    check on the full law rejects the batch."""
     law = parse_group_name(group, p)
     tower = FieldTower(p)
     view = enumerate_group(law, tower, p, m)
-    last = lang_module._lang_steps(law)[-1]
-    step_value = lang_module._step_value
+    step_rhs = lang_module._step_rhs
 
-    def off_by_one(tower, fid, step, xt, e):
-        z = step_value(tower, fid, step, xt, e)
-        if step == last:
-            z[-1, 0] = (z[-1, 0] + 1) % tower.p
-        return z
+    def off_by_one(law, tower, fid, i, g, xt, e):
+        c = step_rhs(law, tower, fid, i, g, xt, e)
+        if i == law.dim - 1:
+            c[-1, 0] = (c[-1, 0] + 1) % tower.p
+        return c
 
-    monkeypatch.setattr(lang_module, "_step_value", off_by_one)
+    monkeypatch.setattr(lang_module, "_step_rhs", off_by_one)
     with pytest.raises(InternalInconsistencyError, match="failed to verify"):
         lang_solve_batch(law, tower, view.digits(np.arange(view.order)))
     with pytest.raises(InternalInconsistencyError, match="failed to verify"):
