@@ -7,24 +7,21 @@ The operator is the identity exactly when the norm map fixes every
 class, which is decided on the class permutation, never through numeric
 comparison of functions.
 
-For a class fixed by the norm map there is a centralizer witness: some
-z in Z(g) at a finite level with z^{-1} F^m(z) = g.  Concretely, if
-y in G(F_{q^m}) conjugates the norm image back to g, then z = (x*y)^{-1}
-commutes with g and z^{-1} F^m(z) = x F^m(x)^{-1} = g.  Moved classes
-admit no such witness, so witness existence and fixedness must agree
-classwise on every run.
+For a class fixed by the norm map there is a centralizer witness, a
+Lang solution of g in Z(g): some z in Z(g) at a finite level with
+z F^m(z)^{-1} = g.  If y in G(F_{q^m}) conjugates the norm image back
+to g, then z = x*y commutes with g, and z F^m(z)^{-1} = x F^m(x)^{-1}
+= g because F^m(y) = y.  Moved classes admit no such witness, so
+witness existence and fixedness must agree classwise on every run.
 
 norm_map works in one batched pass over all class representatives, a
 chunk of rows at a time, on (rows, d, k) digit arrays: the Lang solve,
 the checks on the images, the class lookup of the images, and z with
 both of its checks for every fixed class.  y is the least such rational
 element, found for every fixed class of a chunk and level by one call
-of the coordinate-prefix filter FiniteGroupView.find_conjugators.  The
-checks take one product or one conjugation per side: the image
-x^{-1} g x is the law's conj at (g, x), checked to be F^m(x)^{-1} x as
-F^m(x) * image == x; z g == g z is checked as conj(g, z) == g, and
-z^{-1} F^m(z) == g as F^m(z) == z g.  centralizer_witness only reads the
-result: a class's witness is its point z.
+of the coordinate-prefix filter FiniteGroupView.find_conjugators.  No
+check evaluates the law's inverse (see norm_map).  centralizer_witness
+only reads the result: a class's witness is its point z.
 """
 
 from __future__ import annotations
@@ -37,11 +34,11 @@ import numpy as np
 
 from .errors import InternalInconsistencyError, ParameterError
 from .fields import FieldId
-from .grouplaw import eval_inv, eval_mul, eval_polys
+from .grouplaw import eval_mul, eval_polys
 
 # lang_solve_triangular is the one-point form of lang_solve_batch; it stays
 # bound here because perfbench/tracer.py wraps it at this import site
-from .lang import lang_solve_batch, lang_solve_triangular  # noqa: F401
+from .lang import lang_solve_batch, lang_solve_triangular, solves_lang  # noqa: F401
 from .points import ClassTable, FiniteGroupView, Point, check_index, digits_point
 
 # class representatives per batch: bounds the (rows, d, k) temporaries
@@ -97,9 +94,9 @@ def norm_map(table: ClassTable) -> NormMapResult:
     The image x^{-1} g x is evaluated as conj(g, x) and checked to be
     F^m(x)^{-1} x as F^m(x) * image == x, one product, and to be fixed
     by F^m before it is located in the class table.  Every fixed class
-    gets its centralizer witness here, and both of its checks run
-    exactly: z g = g z as conj(g, z) = g and z^{-1} F^m(z) = g as
-    F^m(z) = z g (_witness_checks).  A failure is recorded in
+    gets its centralizer witness z = x y here, checked exactly:
+    z g = g z as conj(g, z) = g, and z F^m(z)^{-1} = g by the Lang check
+    g F^m(z) = z (_witness_checks).  A failure is recorded in
     witness_errors, the one verdict on witnesses, and raised by
     centralizer_witness.  Extension degrees are bounded by the
     tower's degree_cap (CapExceeded above it).
@@ -119,9 +116,9 @@ def norm_map(table: ClassTable) -> NormMapResult:
         for lvl, rows, x in lang_solve_batch(law, tower, g):
             classes = chunk[rows]
             mul = partial(eval_mul, law, tower, lvl)
-            inv = partial(eval_inv, law, tower, lvl)
             conj = partial(eval_polys, law.conj, tower, lvl)
             frob = partial(tower.vfrob, lvl, e=base.degree)
+            solves = partial(solves_lang, law, tower, lvl, e=base.degree)
             ge = tower.vembed(base, lvl, g[rows])
             img = conj(ge, x)
             if not np.array_equal(mul(frob(x), img), x):
@@ -134,7 +131,7 @@ def norm_map(table: ClassTable) -> NormMapResult:
             ords = view.ordinals(img)
             image_ordinals[classes] = ords
 
-            # z = (x y)^{-1} for the fixed classes, y the least rational
+            # z = x y for the fixed classes, y the least rational
             # element conjugating the image back to the representative
             fixed = np.nonzero(table.class_of[ords] == classes)[0]
             images, reps = ords[fixed], table.reps[classes[fixed]]
@@ -148,8 +145,8 @@ def norm_map(table: ClassTable) -> NormMapResult:
             y[search] = np.maximum(found, 0)  # a failed search keeps y = 1, its error recorded
             yd = tower.vembed(base, lvl, view.digits(y))
             z = np.zeros_like(x)
-            z[fixed] = zf = inv(mul(x[fixed], yd))
-            commutes, coboundary = _witness_checks(conj, mul, frob, ge[fixed], zf)
+            z[fixed] = zf = mul(x[fixed], yd)
+            commutes, coboundary = _witness_checks(conj, solves, ge[fixed], zf)
             for row in fixed[~(commutes & coboundary)]:
                 errors.setdefault(int(classes[row]), "centralizer witness failed its checks")
             where[classes, 0] = len(levels)
@@ -169,13 +166,11 @@ def norm_map(table: ClassTable) -> NormMapResult:
     )
 
 
-def _witness_checks(conj, mul, frob, g, z) -> tuple[np.ndarray, np.ndarray]:
+def _witness_checks(conj, solves, g, z) -> tuple[np.ndarray, np.ndarray]:
     """Row masks of the two witness checks on digit arrays at one level:
-    z g == g z, as conj(g, z) == g, and z^{-1} F^m(z) == g, as
-    F^m(z) == z g."""
-    commutes = np.all(conj(g, z) == g, axis=(-2, -1))
-    coboundary = np.all(frob(z) == mul(z, g), axis=(-2, -1))
-    return commutes, coboundary
+    z g == g z, as conj(g, z) == g, and z F^m(z)^{-1} == g, as the Lang
+    check solves(z, g)."""
+    return np.all(conj(g, z) == g, axis=(-2, -1)), solves(z, g)
 
 
 def is_asai_trivial(result: NormMapResult) -> bool:
@@ -192,15 +187,15 @@ def image_of_member(result: NormMapResult, ordinal: int) -> Point:
     """Norm image of an arbitrary group element, on demand.
 
     For h = w^{-1} g w with w rational, w^{-1} x w solves the Lang equation
-    at h, so the image is the recorded class image conjugated by w.
+    at h, so the image is the recorded class image conjugated by w, law.conj.
     """
     view = result.view
     ci = int(result.table.class_of[check_index(ordinal, view.order)])
     w_ord = view.find_conjugator(int(result.table.reps[ci]), ordinal)
     if w_ord is None:
         raise InternalInconsistencyError("ordinal is not in the class of its table")
-    image = view.point(int(result.image_ordinals[ci]))
-    return view.ops.conj(view.point(w_ord), image)
+    image, w = view.digits([int(result.image_ordinals[ci]), w_ord])
+    return digits_point(view.field, eval_polys(view.law.conj, view.tower, view.field, image, w))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +307,8 @@ def twisted_classes(elements, mult, endo) -> list[list]:
 def centralizer_witness(result: NormMapResult, ci: int) -> Point | None:
     """The witness z of a fixed class; None for a moved class.
 
-    z lies in Z(g) for g the class representative, has z^{-1} F^m(z) = g,
-    and lives in an extension of g's field.  norm_map builds z from the
+    z is a Lang solution of g in Z(g), g the class representative, and
+    lives in an extension of g's field.  norm_map builds z = x y from the
     first y in canonical order with y^{-1} N(g) y = g (nonempty because
     the classes coincide) and re-verifies both witness checks exactly; a
     failure is a bug, not a legitimate outcome, and raises here.

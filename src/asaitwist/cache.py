@@ -22,7 +22,7 @@ from .fields import FieldTower
 from .grouplaw import GroupLaw, canonical_text
 from .points import DEFAULT_MAX_ORDER, ClassTable, enumerate_group
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _sha(text: str) -> str:

@@ -164,7 +164,7 @@ class _Level:
     reduction matrix, and lazily filled Frobenius powers, Artin-Schreier
     solvers, subfield roots and subfield embeddings."""
 
-    def __init__(self, p: int, degree: int, modulus: np.ndarray):
+    def __init__(self, p: int, degree: int, modulus: np.ndarray, frob: np.ndarray):
         self.p = p
         self.degree = degree
         self.modulus = frozen(modulus)  # (degree+1,) monic over F_p
@@ -172,7 +172,7 @@ class _Level:
         # frob[e] is the matrix of x -> x^{p^e}: digit row vectors act on the right
         self._frob: dict[int, np.ndarray] = {
             0: frozen(np.eye(degree, dtype=np.int64)),
-            1: frozen(_frobenius_matrix(modulus, p)),
+            1: frozen(frob),
         }
         # as_solve[e]: the solver of x^{p^e} - x = c here
         self.as_solve: dict[int, LinearSolve] = {}
@@ -183,7 +183,7 @@ class _Level:
         self.emb: dict[int, "_Embedding"] = {}
 
     def frob(self, e: int) -> np.ndarray:
-        e = e % self.degree if self.degree > 1 else 0
+        e = e % self.degree
         if e not in self._frob:
             self._frob[e] = frozen(matpow_mod(self._frob[1], e, self.p))
         return self._frob[e]
@@ -275,30 +275,32 @@ class FieldTower:
             raise CapExceeded(f"degree {degree} over F_{self.p} overflows vmul's int64 sums")
         lvl = _LEVELS.get((self.p, degree))
         if lvl is None:
-            lvl = _LEVELS[self.p, degree] = _Level(self.p, degree, self._least_irreducible(degree))
+            lvl = _LEVELS[self.p, degree] = _Level(self.p, degree, *self._least_irreducible(degree))
         return lvl
 
-    def _least_irreducible(self, k: int) -> np.ndarray:
-        """The code-least monic irreducible of degree k: upper parts g =
-        c_1 t + ... + t^k in code order, as Python integers so no degree
-        overflows, each evaluated once on F_p, then the constants c_0
-        outside -g(F_p) (no root in F_p, and never 0 = -g(0)), smallest first."""
+    def _least_irreducible(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The code-least monic irreducible of degree k and the Frobenius
+        matrix its irreducibility test built: upper parts g = c_1 t + ... +
+        t^k in code order, as Python integers so no degree overflows, each
+        evaluated once on F_p, then the constants c_0 outside -g(F_p) (no
+        root in F_p, and never 0 = -g(0)), smallest first."""
         p = self.p
-        if k == 1:
-            return np.array([0, 1], dtype=np.int64)  # t itself: F_p[t]/(t)
+        if k == 1:  # t itself: F_p[t]/(t)
+            return np.array([0, 1], dtype=np.int64), np.eye(1, dtype=np.int64)
         for upper in product(range(p), repeat=k - 1):
             coeffs = np.array([0, *upper[::-1], 1], dtype=np.int64)
             roots = -_values_on_prime_field(coeffs, p) % p
             for c0 in np.flatnonzero(~np.isin(np.arange(p), roots)):
                 coeffs[0] = c0
-                if self._is_irreducible(coeffs):
-                    return coeffs
+                if (frob := self._irreducible_frobenius(coeffs)) is not None:
+                    return coeffs, frob
         raise InternalInconsistencyError(f"no irreducible of degree {k} found")
 
-    def _is_irreducible(self, coeffs: np.ndarray) -> bool:
-        """Berlekamp's criterion: t^{p^k} = t mod f makes f squarefree with
-        factor degrees dividing k, and then the fixed space of x -> x^p on
-        F_p[t]/(f), one dimension per factor, must be F_p alone."""
+    def _irreducible_frobenius(self, coeffs: np.ndarray) -> np.ndarray | None:
+        """The Frobenius matrix of F_p[t]/(f) if f is irreducible, else
+        None, by Berlekamp's criterion: t^{p^k} = t mod f makes f
+        squarefree with factor degrees dividing k, and then the fixed
+        space of x -> x^p, one dimension per factor, must be F_p alone."""
         p = self.p
         k = len(coeffs) - 1
         frob = _frobenius_matrix(coeffs, p)
@@ -306,8 +308,9 @@ class FieldTower:
         for _ in range(k):
             u = (u @ frob) % p
         if not np.array_equal(u, t):
-            return False
-        return LinearSolve((frob - np.eye(k, dtype=np.int64)) % p, p).rank == k - 1
+            return None
+        fixed = LinearSolve((frob - np.eye(k, dtype=np.int64)) % p, p)
+        return frob if fixed.rank == k - 1 else None
 
     # ---- scalar element API ----
 

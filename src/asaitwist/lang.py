@@ -17,10 +17,10 @@ lang_solve_batch solves many g at once on (rows, d, e) digit arrays.  It
 walks the coordinates with the rows grouped by their current level,
 solves each group's Artin-Schreier equations in one call, and regroups
 the rows whose solution moved to a larger field.  Every row is verified
-on the full law by one vectorized g * F^m(x) == x check.
-verify_witness and the brute-force scan use the same equation, and the
-solve reads law.mul only.  lang_solve_triangular is the same solve for
-one point.
+on the full law by one vectorized g * F^m(x) == x check, solves_lang,
+which verify_witness, the brute-force scan and the norm map's witness
+check also use; the solve reads law.mul only.  lang_solve_triangular is
+the same solve for one point.
 
 The brute-force solver scans whole groups level by level; it exists as an
 independent oracle for the triangular one and is exponential in the
@@ -59,7 +59,7 @@ class LangWitness:
     n_multiplier: int
 
 
-def _solves_lang(law: GroupLaw, tower: FieldTower, fid: FieldId, x, g, e: int) -> np.ndarray:
+def solves_lang(law: GroupLaw, tower: FieldTower, fid: FieldId, x, g, e: int) -> np.ndarray:
     """Row mask of x * F^e(x)^{-1} == g, checked as g * F^e(x) == x on
     digit arrays (..., d, k) over fid, F the p-power map."""
     lhs = eval_mul(law, tower, fid, g, tower.vfrob(fid, x, e))
@@ -121,7 +121,7 @@ def lang_solve_batch(
     for degree, (rows, x) in levels.items():
         fid = FieldId(law.p, degree)
         ge = tower.vembed(base, fid, g[rows])
-        if not _solves_lang(law, tower, fid, x, ge, base.degree).all():
+        if not solves_lang(law, tower, fid, x, ge, base.degree).all():
             raise InternalInconsistencyError("triangular Lang witness failed to verify")
         groups.append((fid, rows, x))
     return groups
@@ -161,7 +161,7 @@ def lang_solve_bruteforce(
         for start in range(0, order, _BRUTE_CHUNK):
             codes = np.arange(start, min(start + _BRUTE_CHUNK, order), dtype=np.int64)
             xs = all_tuples(tower, fid, law.dim, codes)
-            hits = np.nonzero(_solves_lang(law, tower, fid, xs, ge, base))[0]
+            hits = np.nonzero(solves_lang(law, tower, fid, xs, ge, base))[0]
             if hits.size:
                 x = digits_point(fid, xs[int(hits[0])])
                 return LangWitness(g, x, N)
@@ -174,6 +174,6 @@ def verify_witness(law: GroupLaw, tower: FieldTower, w: LangWitness) -> bool:
     try:
         fid = w.x.field
         ge = tower.vembed(w.g.field, fid, point_digits(w.g))
-        return bool(_solves_lang(law, tower, fid, point_digits(w.x), ge, w.g.field.degree))
+        return bool(solves_lang(law, tower, fid, point_digits(w.x), ge, w.g.field.degree))
     except IncompatibleFields:
         return False

@@ -101,7 +101,7 @@ def test_criterion_2_easy_family_triviality():
 def test_criterion_3_witness_biconditional_exhaustive():
     """On every run of criteria 1-2, for every class: fixed by the norm
     map <=> a verified centralizer witness exists (z in Z(g) and
-    z^{-1} F^m(z) = g re-checked exactly).  Zero disagreements."""
+    z F^m(z)^{-1} = g re-checked exactly).  Zero disagreements."""
     disagreements = 0
     classes_checked = 0
     for key in [("n2", 3, None, 3, 1)] + EASY_RUNS:
@@ -117,7 +117,7 @@ def test_criterion_3_witness_biconditional_exhaustive():
                 ge = ops.embed(table.rep_point(ci), w.field)
                 if not (
                     ops.mul(w, ge) == ops.mul(ge, w)
-                    and ops.mul(ops.inv(w), ops.frobenius(w, view.q, view.m)) == ge
+                    and ops.mul(w, ops.inv(ops.frobenius(w, view.q, view.m))) == ge
                 ):
                     disagreements += 1
             classes_checked += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 from functools import partial
@@ -19,11 +20,12 @@ from asaitwist.asai import (
     norm_map,
     twisted_classes,
 )
+from asaitwist.easiness import easiness_crosscheck
 from asaitwist.errors import InternalInconsistencyError, ParameterError
-from asaitwist.fields import FieldTower, characteristic
+from asaitwist.fields import FieldId, FieldTower, characteristic
 from asaitwist import points as points_module
-from asaitwist.grouplaw import builtin, eval_mul, parse_group_name
-from asaitwist.lang import lang_solve_bruteforce, lang_solve_triangular
+from asaitwist.grouplaw import Polynomial, builtin, eval_mul, parse_group_name
+from asaitwist.lang import LangWitness, lang_solve_bruteforce, lang_solve_triangular, verify_witness
 from asaitwist.points import centralizer_counts, conjugacy_classes, enumerate_group
 
 from random_laws import BUILTINS, random_dsl_law
@@ -105,18 +107,59 @@ def test_norm_map_well_defined_on_members(n2_result, ul3_result):
             assert table.class_of[view.index_of(img)] == res.perm[ci]
 
 
-def test_image_of_member_consistent(ul3_result):
-    law, tower, view, table, res = ul3_result
-    ops = view.ops
-    for ordinal in range(view.order):
-        img = image_of_member(res, ordinal)
-        ci = int(table.class_of[ordinal])
-        # direct recomputation through the solver
-        w = lang_solve_triangular(law, tower, view.point(ordinal))
-        direct = ops.mul(ops.inv(ops.frobenius(w.x, view.q, view.m)), w.x)
-        direct = ops.section(direct, view.field)
-        assert table.class_of[view.index_of(img)] == res.perm[ci]
-        assert table.class_of[view.index_of(direct)] == res.perm[ci]
+def test_image_of_member_consistent(n2_result, ul3_result):
+    """image_of_member, the law's conj on digits, equals the scalar
+    oracle w^{-1} N(g) w and lands in the norm image class."""
+    for law, tower, view, table, res in (n2_result, ul3_result):
+        ops = view.ops
+        for ordinal in range(view.order):
+            img = image_of_member(res, ordinal)
+            ci = int(table.class_of[ordinal])
+            w = view.find_conjugator(int(table.reps[ci]), ordinal)
+            assert img == ops.conj(view.point(w), view.point(int(res.image_ordinals[ci])))
+            # direct recomputation through the solver
+            lw = lang_solve_triangular(law, tower, view.point(ordinal))
+            direct = ops.mul(ops.inv(ops.frobenius(lw.x, view.q, view.m)), lw.x)
+            direct = ops.section(direct, view.field)
+            assert table.class_of[view.index_of(img)] == res.perm[ci]
+            assert table.class_of[view.index_of(direct)] == res.perm[ci]
+
+
+def _assert_same_without_inverse(law, q, max_m):
+    """easiness_crosscheck, its norm_map levels and image_of_member on
+    every element agree between law and a copy whose inverse coordinates
+    are all 0 and whose conj is law's: after conj is derived, no stage
+    evaluates law.inv."""
+    blind = dataclasses.replace(law, inv=tuple(Polynomial.zero(law.p, f.nvars) for f in law.inv))
+    blind.__dict__["conj"] = law.conj
+    real, other = (easiness_crosscheck(lw, FieldTower(law.p), q, max_m) for lw in (law, blind))
+    assert real.internally_consistent and other.internally_consistent
+    assert (other.label_status, other.verdict) == (real.label_status, real.verdict)
+    assert len(other.levels) == len(real.levels) == max_m
+    for a, b in zip(real.levels, other.levels):
+        assert b.perm == a.perm and b.witness_errors == a.witness_errors == {}
+        for key in ("fixed", "image_ordinals", "where"):
+            assert np.array_equal(getattr(b, key), getattr(a, key))
+        assert [f for f, _ in b.levels] == [f for f, _ in a.levels]
+        assert all(np.array_equal(zb, za) for (_, zb), (_, za) in zip(b.levels, a.levels))
+        for ordinal in range(a.view.order):
+            assert image_of_member(b, ordinal) == image_of_member(a, ordinal)
+
+
+@pytest.mark.parametrize(
+    "group,p,max_m",
+    [("n2", 3, 2), ("n2", 2, 3), ("ul(3)", 2, 3), ("ul(3)", 3, 1), ("ul(4)", 2, 1),
+     ("ga_power(2)", 3, 2)],
+)
+def test_norm_map_reads_no_inverse_on_builtins(group, p, max_m):
+    _assert_same_without_inverse(parse_group_name(group, p), p, max_m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(random_dsl_law(groups=BUILTINS + ["ga_power(4)"]))
+def test_norm_map_reads_no_inverse_on_random_laws(drawn):
+    law, p, m = drawn
+    _assert_same_without_inverse(law, p, m)
 
 
 def element_order(ops, a):
@@ -252,15 +295,21 @@ def test_twisted_classes_closure_failure():
 
 
 def test_centralizer_witness_biconditional(n2_result, ul3_result):
-    for _, _, view, table, res in (n2_result, ul3_result):
+    """A witness is a Lang solution of g in Z(g): z g = g z and
+    z F^m(z)^{-1} = g, which lang.verify_witness also accepts."""
+    for law, tower, view, table, res in (n2_result, ul3_result):
         ops = view.ops
         for ci in range(len(table)):
             w = centralizer_witness(res, ci)
             assert (w is not None) == (res.perm[ci] == ci)
             if w is not None:
-                g = ops.embed(table.rep_point(ci), w.field)
+                rep = table.rep_point(ci)
+                g = ops.embed(rep, w.field)
                 assert ops.mul(w, g) == ops.mul(g, w)
-                assert ops.mul(ops.inv(w), ops.frobenius(w, view.q, view.m)) == g
+                assert ops.conj(w, g) == g
+                assert ops.mul(w, ops.inv(ops.frobenius(w, view.q, view.m))) == g
+                degree = w.field.degree // rep.field.degree
+                assert verify_witness(law, tower, LangWitness(rep, w, degree))
 
 
 def test_centralizer_witness_identity_class(ul3_result):
@@ -270,7 +319,7 @@ def test_centralizer_witness_identity_class(ul3_result):
 
 
 def test_centralizer_witness_central_n2_class(n2_result):
-    """g = (0,1) is central; its witness is (0,d) with d^3 - d = 1."""
+    """g = (0,1) is central; its witness is (0,d) with d - d^3 = 1."""
     law, tower, view, table, res = n2_result
     ci = int(table.class_of[view.index_of(view.point(1))])  # (0, 1)
     w = centralizer_witness(res, ci)
@@ -279,7 +328,7 @@ def test_centralizer_witness_central_n2_class(n2_result):
     assert d0.is_zero()
     d = w.coords[1]
     one = tower.embed(tower.one(tower.make_field(1)), d.field)
-    assert tower.sub(tower.frobenius(d, 3), d) == one
+    assert tower.sub(d, tower.frobenius(d, 3)) == one
     assert w.field.degree == 3  # d lives in F_27
 
 
@@ -323,8 +372,8 @@ def ul3_f4_result():
 
 
 def test_a_wrong_conjugator_is_named_in_witness_errors(monkeypatch, ul3_f4_result):
-    """find_conjugators answers y = 1 for every pair: z = x^{-1} still has
-    z^{-1} F^m(z) = g but no longer commutes with g, so each searched
+    """find_conjugators answers y = 1 for every pair: z = x still has
+    z F^m(z)^{-1} = g but no longer commutes with g, so each searched
     class, and no other, has a witness error, which centralizer_witness
     raises."""
     view, table, clean = ul3_f4_result
@@ -344,13 +393,13 @@ def test_a_wrong_conjugator_is_named_in_witness_errors(monkeypatch, ul3_f4_resul
 
 
 def _corrupting_witness_checks(monkeypatch, corrupt):
-    """Make norm_map check corrupt(mul, z) in place of its witnesses z;
+    """Make norm_map check corrupt(z) in place of its witnesses z;
     returns the list the (commutes, coboundary) masks are appended to."""
     masks = []
     checks = asai_module._witness_checks
 
-    def corrupted(conj, mul, frob, g, z):
-        masks.append(checks(conj, mul, frob, g, corrupt(mul, z)))
+    def corrupted(conj, solves, g, z):
+        masks.append(checks(conj, solves, g, corrupt(z)))
         return masks[-1]
 
     monkeypatch.setattr(asai_module, "_witness_checks", corrupted)
@@ -361,11 +410,11 @@ def test_a_witness_times_a_nonrational_central_point_fails_the_coboundary_check(
     monkeypatch, ul3_f4_result
 ):
     """z * (0, 0, t), t the generator of z's level: it still commutes with
-    g, but z^{-1} F^m(z) moves by t^{-1} F^m(t), which is 1 only where t
+    g, but z F^m(z)^{-1} moves by t F^m(t)^{-1}, which is 1 only where t
     is rational, so every witness above F_4 fails its coboundary check."""
     view, table, clean = ul3_f4_result
 
-    def central_shift(mul, z):
+    def central_shift(z):
         z = z.copy()
         z[:, -1, 1] = (z[:, -1, 1] + 1) % 2
         return z
@@ -388,13 +437,17 @@ def _one_in_coordinate_1(dim: int, k: int) -> np.ndarray:
 
 
 def test_a_witness_times_a_rational_point_fails_the_commute_check(monkeypatch, ul3_f4_result):
-    """a * z, a = (1, 0, 0): z^{-1} F^m(z) is unchanged since a is
-    rational, and a z commutes with g iff a does, so exactly the classes
-    whose representative does not commute with a have a witness error."""
+    """z * a, a = (1, 0, 0): (z a) F^m(z a)^{-1} = z F^m(z)^{-1} since a
+    is rational, and z a commutes with g iff a does, so exactly the
+    classes whose representative does not commute with a have a witness
+    error."""
     view, table, clean = ul3_f4_result
-    masks = _corrupting_witness_checks(
-        monkeypatch, lambda mul, z: mul(_one_in_coordinate_1(3, z.shape[-1]), z)
-    )
+
+    def right_factor(z):
+        fid = FieldId(2, z.shape[-1])
+        return eval_mul(view.law, view.tower, fid, z, _one_in_coordinate_1(3, fid.degree))
+
+    masks = _corrupting_witness_checks(monkeypatch, right_factor)
     result = norm_map(table)
     a, reps = _one_in_coordinate_1(3, 2), view.digits(table.reps)
     ag = eval_mul(view.law, view.tower, view.field, a, reps)

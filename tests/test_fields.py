@@ -157,7 +157,7 @@ def test_degree_64_modulus_is_code_least():
     assert tower.modulus(tower.make_field(64)) == expected
     for code in range(27):
         f = np.array([code >> i & 1 for i in range(64)] + [1], dtype=np.int64)
-        assert not tower._is_irreducible(f)
+        assert tower._irreducible_frobenius(f) is None
 
 
 def test_least_irreducible_evaluates_each_upper_part_once(monkeypatch, empty_levels):
@@ -276,17 +276,18 @@ IRREDUCIBILITY_GRID = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 9)
 
 @pytest.mark.parametrize("p,k", IRREDUCIBILITY_GRID)
 def test_is_irreducible_matches_long_division_oracle(p, k):
-    """_is_irreducible holds exactly for the monic f of degree k with no
-    monic factor of degree 1..k//2.  Where the grid has them (p = 2, k = 6
-    and 8, e.g. (t^3+t+1)(t^3+t^2+1)), some reducible f have t^{p^k} = t
-    mod f, so the rank condition is needed to refuse them."""
+    """_irreducible_frobenius returns a matrix exactly for the monic f of
+    degree k with no monic factor of degree 1..k//2.  Where the grid has
+    them (p = 2, k = 6 and 8, e.g. (t^3+t+1)(t^3+t^2+1)), some reducible
+    f have t^{p^k} = t mod f, so the rank condition is needed to refuse
+    them."""
     tower = FieldTower(p)
     passes_frobenius = 0
     for f in _monic(p, k):
         irreducible = all(
             any(_poly_mod(f, g, p)) for d in range(1, k // 2 + 1) for g in _monic(p, d)
         )
-        assert tower._is_irreducible(np.array(f, dtype=np.int64)) == irreducible, f
+        assert (tower._irreducible_frobenius(np.array(f, dtype=np.int64)) is not None) == irreducible, f
         t_power = _poly_mod([0] * p**k + [1], f, p)  # t^{p^k} mod f
         passes_frobenius += not irreducible and t_power == _poly_mod([0, 1], f, p)
     if (p, k) in ((2, 6), (2, 8)):

@@ -15,55 +15,55 @@ from asaitwist.cli import main
 GOLDEN = [
     (
         ["asai", "--group", "n2", "--q", "3", "--m", "2"],
-        "6cb64b9dde825d285254f5aa381c85e862e3a331727a7e4b9028c687e0c950fb",
+        "e39f2568e7ddb4565bc243ebd453a7577facd3ed73eefc497f578fb1ae36ed9a",
     ),
     (
         ["asai", "--group", "ul(3)", "--q", "2", "--m", "2"],
-        "3179ff341ec0e2ca3fe379c1548e2dbdacb40202208efa38b12067a02799a52c",
+        "bc6d80ef49f1a9974e6aa941c98dd877f2154eef9124ad1e54110c05626de3c5",
     ),
     (
         ["asai", "--group", "ga_power(2)", "--q", "2", "--m", "3"],
-        "d86061ee992646fee31dfa4bad46c136c6b2f9508a4545a23a4c5922bd8fbbf0",
+        "66019895ee9b03df9e68580c9898915ae1ec6ea683715bf9f4e2199a954a3880",
     ),
     (
         ["easy-check", "--group", "n2", "--q", "3", "--max-m", "2"],
-        "85de8f26c6d90d39275c457e8e7833e4f38b80581df248499a15ccfe505d732e",
+        "5415c793511db95583a2528496cff10e28392b21aff0c1f136aeb80756903742",
     ),
     (
         ["asai", "--group", "ul(4)", "--q", "2", "--m", "1"],
-        "0d2308520b7563d159303861b9a3db569dd960c131c1cbe6e4dc67abd8335c1a",
+        "5722c8296f32e2a905148c1afa290b7d42ddda1bd24f6ffb29d7f4af78104316",
     ),
     (
         ["classes", "--group", "ul(3)", "--q", "3", "--m", "1"],
-        "d16a7ba660d7a51619f65f8a03acfe478b2a876e562940ec280fbcf3e8144198",
+        "6e186561664e4919272427acae39e89722fce00e91cab19c745250cc5b02fd3b",
     ),
     (  # easy_up_to
         ["easy-check", "--group", "ul(3)", "--q", "2", "--max-m", "2"],
-        "28b7dfe083e799094d60471ad990a03a8dd7c0fedf6b34f1e5ed2b15b16af731",
+        "f906300158c9a78257ab64fd86c7762ac3dd32b924f0fdcd66b5bad257a7fbc0",
     ),
     (  # a cap hit after a non-easiness certificate
         ["easy-check", "--group", "n2", "--q", "3", "--max-m", "3", "--max-order", "81"],
-        "3126334e994312621383d7c892359294d8d386a7e92df58922e0d40f51e9d3d9",
+        "fc3c4b91980c55d5810b010d7feaa01c4c8c24c21dc7d26d222e195a7602a529",
     ),
     (  # the p-power exponent y1^5 at an extension level
         ["asai", "--group", "n2", "--q", "5", "--m", "2"],
-        "6594c360efc40a25acda74c29693787a76fede4f99c0f073029429ee8e7ee1e9",
+        "f1898ed3dc532d75d87b093cca935d4b60316ab932d7099bd18fe7698af4ab52",
     ),
     (  # y1^2 over F_2, levels up to m = 5
         ["easy-check", "--group", "n2", "--q", "2", "--max-m", "5"],
-        "3bce01cfb3083314c9947bb772027ea235b09af27482ad8c08179e5d136b552d",
+        "ab66525bb922b51d2ef1bd9b344664116925275dfc0ba558410f718f5f5c622f",
     ),
     (  # inconclusive: a cap hit before any level
         ["easy-check", "--group", "n2", "--q", "3", "--max-m", "2", "--max-order", "5"],
-        "4a1e23a90bee5a6f3de3819a44e2ffc290b74ec4fa2419cb6158b46de992baf7",
+        "31426dfdcb65c3d2abb13789da995516239556300d3a020ff9516669f8ecadf4",
     ),
     (  # commutative: every element its own class
         ["easy-check", "--group", "ga_power(2)", "--q", "2", "--max-m", "4"],
-        "cacea30f711ebeb5b7952d392c9ebb8dc95bc979b674a7543e4abba5938ba036",
+        "36e5ed18180c3114eb93954f43be11f176d1e4308ff98672fcd7bbf2cc2da52e",
     ),
     (  # witnesses in F_{2^6} and F_{2^12}: pins the embedding lattice
         ["asai", "--group", "ul(3)", "--q", "2", "--m", "3"],
-        "641faf598754ff52e2336b40fc037c4fffa800eda38156c18fca0879b71ee89d",
+        "2c2c74d0048a3d5248ef6b2d54098bd95255c3f85c086d3b346702e1492a836d",
     ),
 ]
 

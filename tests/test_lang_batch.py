@@ -30,6 +30,7 @@ from asaitwist.grouplaw import (
     parse_group_name,
 )
 from asaitwist.lang import (
+    LangWitness,
     lang_solve_batch,
     lang_solve_bruteforce,
     lang_solve_triangular,
@@ -92,7 +93,9 @@ def _check_batch_against_oracles(law, q, m):
         if w is not None:
             ge = ops.embed(rep, w.field)
             assert ops.mul(w, ge) == ops.mul(ge, w)
-            assert ops.mul(ops.inv(w), ops.frobenius(w, q, m)) == ge
+            assert ops.mul(w, ops.inv(ops.frobenius(w, q, m))) == ge
+            assert ops.conj(w, ge) == ge
+            assert verify_witness(law, tower, LangWitness(rep, w, w.field.degree // rep.field.degree))
     assert brute_checked >= 1  # at least the identity class
 
 
