@@ -1,12 +1,17 @@
 """Versioned, checksummed on-disk caching of class tables.
 
-The cache key hashes (canonical law text, q, m, schema version), so a
-schema bump silently recomputes.  Files failing their checksum or written
-by another schema are ignored with a warning, never migrated.  Loads
-reproduce the canonical ordering byte for byte: the element enumeration
-is deterministic, so persisting class_of is enough to rebuild the table.
-Files are written to a temporary name in the cache directory and renamed
-into place, so an interrupted write never leaves a truncated table.
+A cache file is one JSON header line (kind, schema, law, q, m, order and
+the sha256 of the body, keys sorted) followed by class_of as
+little-endian int32 bytes, 4*order of them.  The cache key hashes
+(canonical law text, q, m, schema version), so a schema bump silently
+recomputes, and the .bin suffix keeps files of the older JSON format
+from being found at all.  Files failing their checksum, written by
+another schema or holding a malformed class map are ignored with a
+warning, never migrated.  Loads reproduce the canonical ordering byte
+for byte: the element enumeration is deterministic, so persisting
+class_of is enough to rebuild the table.  Files are written to a
+temporary name in the cache directory and renamed into place, so an
+interrupted write never leaves a truncated table.
 """
 
 from __future__ import annotations
@@ -23,44 +28,42 @@ from .grouplaw import GroupLaw, canonical_text
 from .points import DEFAULT_MAX_ORDER, ClassTable, enumerate_group
 
 SCHEMA_VERSION = 3
+_LABEL = np.dtype("<i4")  # one class label per element in the body
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def class_table_key(law_text: str, q: int, m: int) -> str:
-    return _sha(json.dumps([law_text, q, m, SCHEMA_VERSION]))
+    return _sha(json.dumps([law_text, q, m, SCHEMA_VERSION]).encode("utf-8"))
 
 
 def class_table_path(cache_dir: str | Path, law: GroupLaw, q: int, m: int) -> Path:
     key = class_table_key(canonical_text(law), q, m)
-    return Path(cache_dir) / f"classes-{key}.json"
+    return Path(cache_dir) / f"classes-{key}.bin"
 
 
 def save_class_table(path: str | Path, table: ClassTable) -> Path:
     view = table.view
-    payload = {
-        "order": view.order,
-        "class_of": [int(v) for v in table.class_of],
-    }
-    payload_text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    doc = {
+    body = table.class_of.astype(_LABEL).tobytes()
+    header = {
         "kind": "class_table",
         "schema": SCHEMA_VERSION,
         "law": canonical_text(view.law),
         "q": view.q,
         "m": view.m,
-        "checksum": _sha(payload_text),
-        "payload": payload,
+        "order": view.order,
+        "checksum": _sha(body),
     }
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # write beside the target, then rename over it: readers see the old
     # file or the new one, never a partial write
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        tmp.write_bytes(head + b"\n" + body)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -86,8 +89,9 @@ def load_class_table(
             warn(msg)
 
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        head, _, body = path.read_bytes().partition(b"\n")
+        doc = json.loads(head)
+    except (OSError, ValueError):  # ValueError: not UTF-8 or not JSON
         _warn(f"cache {path.name}: unreadable, ignoring")
         return None
     if not isinstance(doc, dict):
@@ -98,27 +102,17 @@ def load_class_table(
     if (doc.get("law"), doc.get("q"), doc.get("m")) != (canonical_text(law), q, m):
         _warn(f"cache {path.name}: key mismatch, ignoring")
         return None
-    payload = doc.get("payload", {})
-    payload_text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if _sha(payload_text) != doc.get("checksum"):
+    if _sha(body) != doc.get("checksum"):
         _warn(f"cache {path.name}: checksum mismatch, ignoring")
         return None
-    if not isinstance(payload, dict):
-        _warn(f"cache {path.name}: malformed payload, ignoring")
-        return None
     view = enumerate_group(law, tower, q, m, max_order=max_order)
-    if payload.get("order") != view.order:
+    if doc.get("order") != view.order:
         _warn(f"cache {path.name}: order mismatch, ignoring")
         return None
-    try:
-        class_of = np.array(payload.get("class_of"))
-    except ValueError:
-        class_of = np.array(None)  # ragged lists
-    # a missing map or any non-integer label gives another dtype kind
-    if class_of.dtype.kind != "i" or class_of.shape != (view.order,):
+    if len(body) != _LABEL.itemsize * view.order:
         _warn(f"cache {path.name}: malformed class map, ignoring")
         return None
-    class_of = class_of.astype(np.int64, copy=False)
+    class_of = np.frombuffer(body, dtype=_LABEL).astype(np.int64)
     # classes are numbered in order of their least member
     labels, reps = np.unique(class_of, return_index=True)
     if labels[0] < 0 or np.any(np.diff(reps) <= 0):

@@ -23,10 +23,15 @@ generators t*e_i (t over an F_p-basis of F_{q^m}, deg its size), found
 by min-label propagation with pointer jumping: one conjugation pass per
 generator, not one per class.  The axis points generate G: the points
 with x_{<i} = 0 form a subgroup K_i, coordinate i is additive on K_i,
-and its kernel there is K_{i+1}.  Axis i is central, and its generators
-get no pass, when conj at y_k = 0 for every k != i is x: so is every
-axis no cocycle involves (always axis d), and every axis of a
-commutative law, whose class pass is then no pass at all.
+and its kernel there is K_{i+1}.  A pass evaluates only the coordinates
+j that its generator moves, those whose conj at y_k = 0 for every k
+!= i is not x_j, and adds the ordinal delta (v_j - x_j)*Q^(d-1-j) of
+each to the identity permutation.  Axis i is central, and its
+generators get no pass, when they move no coordinate: so is every axis
+no cocycle involves (always axis d), and every axis of a commutative
+law, whose class pass is then no pass at all.  Ordinals, codes and
+permutations are int32, so a view refuses a group of more than
+2^31 - 1 elements whatever its cap.
 
 Conjugator search and centralizers never conjugate by every h.  The
 h_i of h^{-1} g h cancels, so coordinate i of conj involves only
@@ -40,7 +45,7 @@ time, finds every feasible h_{<d}, and h_d is free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,6 +56,7 @@ from .modp import power
 
 DEFAULT_MAX_ORDER = 2_000_000
 _CHUNK = 1 << 16
+_INT32_MAX = 2**31 - 1  # ordinals, codes and class-pass permutations are int32
 
 
 @dataclass(frozen=True)
@@ -191,6 +197,8 @@ class FiniteGroupView:
         order = big_q**law.dim
         if order > max_order:
             raise CapExceeded(f"|G(F_{q}^{m})| = {order} exceeds cap {max_order}")
+        if order > _INT32_MAX:
+            raise CapExceeded(f"|G(F_{q}^{m})| = {order} has ordinals past int32")
         self.law = law
         self.tower = tower
         self.q = q
@@ -200,9 +208,13 @@ class FiniteGroupView:
         self.order = order
         self.ops = LawOps(law, tower)
         # the kernels' coordinate codes: row o is the C-order multi-index
-        # of ordinal o, the one rule all_tuples and ordinals() also follow
+        # of ordinal o, the one rule all_tuples and ordinals() also follow,
+        # in int32 and stored column by column, as the class pass reads them
         self._radices = (big_q,) * law.dim
-        self._codes = np.stack(np.unravel_index(np.arange(order), self._radices), axis=-1)
+        ordinal = np.arange(order, dtype=np.int32)
+        self._codes = np.empty((order, law.dim), dtype=np.int32, order="F")
+        for j in range(law.dim):
+            np.remainder(ordinal // big_q ** (law.dim - 1 - j), big_q, out=self._codes[:, j])
 
     @cached_property
     def tables(self) -> _CodeTables:
@@ -244,12 +256,19 @@ class FiniteGroupView:
         return self._conjugates(self._codes[[g]], self._codes)
 
     def conjugation_by(self, s: int) -> np.ndarray:
-        """Ordinals of s^{-1} g s over all g, in ordinal order.
+        """Ordinals of s^{-1} g s over all g, in ordinal order, as int32.
 
         Conjugation by s is an automorphism, so this is a permutation of
-        the ordinals.
+        the ordinals.  Only the coordinates j that s moves are evaluated,
+        each adding (v_j - x_j)*Q^(d-1-j) to the identity ordinals.
         """
-        return self._conjugates(self._codes, self._codes[[s]])
+        codes, big_q, d = self._codes, self.level_order, self.law.dim
+        y = codes[[s]]
+        perm = np.arange(self.order, dtype=np.int32)
+        for j, poly in _moved_coordinates(self.law, tuple(np.flatnonzero(y[0]).tolist())):
+            moved = _eval_poly_codes(poly, self.tables, codes, y) - codes[:, j]
+            perm += moved * big_q ** (d - 1 - j)
+        return perm
 
     def axis_generators(self) -> np.ndarray:
         """Ordinals of the d*deg axis points t*e_i, t over the F_p-basis of
@@ -367,31 +386,40 @@ def conjugacy_classes(view: FiniteGroupView) -> ClassTable:
     # conjugation by a central axis point is the identity: skip its passes
     central = np.repeat(_central_axes(view.law), view.field.degree)
     perms = [view.conjugation_by(s) for s in view.axis_generators()[~central]]
-    # label[g] stays a member of g's class and never grows, so an
-    # unchanged sum means an unchanged array; at the fixpoint each label
-    # is the least member of its class
-    label = np.arange(n, dtype=np.int64)
+    # label[g] stays a member of g's class and never grows; once every
+    # generator maps label to itself it is constant on each class, so
+    # each label is the least member of its class
+    label = np.arange(n, dtype=np.int32)
     while True:
-        before = int(label.sum())
         for perm in perms:
             np.minimum(label, label[perm], out=label)
             label[perm] = np.minimum(label[perm], label)
         while not np.array_equal(jumped := label[label], label):
             label = jumped
-        if int(label.sum()) == before:
+        if all(np.array_equal(label[perm], label) for perm in perms):
             break
-    return ClassTable.from_class_of(view, np.unique(label, return_inverse=True)[1])
+    # number the classes by least member: the least members are the g
+    # with label[g] == g, in ordinal order
+    class_of = np.cumsum(label == np.arange(n)) - 1
+    return ClassTable.from_class_of(view, class_of[label])
+
+
+@lru_cache(maxsize=256)
+def _moved_coordinates(
+    law: GroupLaw, axes: tuple[int, ...]
+) -> tuple[tuple[int, Polynomial], ...]:
+    """(j, conj_j) for each coordinate j of y^{-1} x y that y on these axes
+    moves, as polynomials: conj_j at y_k = 0 for every k off the axes is
+    not the variable x_j.  Cached, as every pass along an axis asks."""
+    d = law.dim
+    off = [d + k for k in range(d) if k not in axes]
+    moved = [(j, poly.without(off)) for j, poly in enumerate(law.conj)]
+    return tuple((j, poly) for j, poly in moved if poly != Polynomial.variable(law.p, 2 * d, j))
 
 
 def _central_axes(law: GroupLaw) -> np.ndarray:
-    """Axes i with y^{-1} x y = x for y on axis i, as polynomials: the
-    conj coordinates at y_k = 0 for every k != i are the variables x."""
-    d = law.dim
-    x = [Polynomial.variable(law.p, 2 * d, j) for j in range(d)]
-    return np.array([
-        [poly.without(d + k for k in range(d) if k != i) for poly in law.conj] == x
-        for i in range(d)
-    ])
+    """Axes i with y^{-1} x y = x for y on axis i: axis i moves no coordinate."""
+    return np.array([not _moved_coordinates(law, (i,)) for i in range(law.dim)])
 
 
 def _commutative_as_polynomials(law: GroupLaw) -> bool:

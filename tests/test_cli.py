@@ -173,15 +173,11 @@ def test_cache_rejects_corruption(tmp_path):
     table = conjugacy_classes(enumerate_group(law, tower, 2, 1))
     path = class_table_path(tmp_path, law, 2, 1)
     save_class_table(path, table)
-    raw = bytearray(path.read_bytes())
-    idx = raw.find(b'"class_of": [')
-    flip = idx + len(b'"class_of": [')
-    raw[flip] = ord("9") if raw[flip] != ord("9") else ord("8")
-    path.write_bytes(bytes(raw))
+    _flip_body_byte(path)
     warnings = []
     loaded = load_class_table(path, law, FieldTower(2), 2, 1, warn=warnings.append)
     assert loaded is None
-    assert any("checksum" in w or "unreadable" in w for w in warnings)
+    assert warnings == [f"cache {path.name}: checksum mismatch, ignoring"]
 
 
 def test_cache_rejects_stale_schema(tmp_path):
@@ -189,13 +185,27 @@ def test_cache_rejects_stale_schema(tmp_path):
     law = builtin("ul", 2, 3)
     table = conjugacy_classes(enumerate_group(law, tower, 2, 1))
     path = class_table_path(tmp_path, law, 2, 1)
-    save_class_table(path, table)
-    doc = json.loads(path.read_text())
-    doc["schema"] = 999
-    path.write_text(json.dumps(doc))
-    warnings = []
-    assert load_class_table(path, law, FieldTower(2), 2, 1, warn=warnings.append) is None
-    assert any("stale" in w for w in warnings)
+    for stale in ({"schema": 999}, {"kind": "report"}):
+        save_class_table(path, table)
+        _rewrite_cached(path, header=stale)
+        warnings = []
+        assert load_class_table(path, law, FieldTower(2), 2, 1, warn=warnings.append) is None
+        assert warnings == [f"cache {path.name}: stale schema, ignoring"]
+
+
+def test_cache_file_is_a_header_line_and_int32_labels(tmp_path):
+    law = builtin("ul", 2, 3)
+    table = conjugacy_classes(enumerate_group(law, FieldTower(2), 2, 2))
+    path = save_class_table(class_table_path(tmp_path, law, 2, 2), table)
+    assert path.suffix == ".bin"
+    header, body = _read_cached(path)
+    assert header == {
+        "checksum": cache_module._sha(body), "kind": "class_table", "law": canonical_text(law),
+        "m": 2, "order": 64, "q": 2, "schema": cache_module.SCHEMA_VERSION,
+    }
+    head = json.dumps(header, separators=(",", ":")).encode()  # keys already sorted
+    assert path.read_bytes() == head + b"\n" + body
+    assert body == np.asarray(table.class_of, dtype="<i4").tobytes()
 
 
 def test_cache_save_replaces_truncated_file_atomically(tmp_path):
@@ -612,19 +622,36 @@ def test_survey_script_one_level(monkeypatch, capsys):
     assert len(lines) == 7 and all(line.startswith("[ok] ") for line in lines)
 
 
-def _rewrite_payload(path, payload):
-    """Replace a cached payload, keeping the checksum valid."""
-    doc = json.loads(path.read_text())
-    doc["payload"] = payload
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    doc["checksum"] = cache_module._sha(text)
-    path.write_text(json.dumps(doc))
+def _read_cached(path):
+    """The header object and the body bytes of a cache file."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(head), body
+
+
+def _rewrite_cached(path, header=(), body=None):
+    """Replace header fields or the body of a cache file, keeping the
+    checksum valid."""
+    doc, old = _read_cached(path)
+    body = old if body is None else body
+    doc = dict(doc, **dict(header), checksum=cache_module._sha(body))
+    path.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + body)
 
 
 def _rewrite_class_map(path, class_of):
     """Replace a cached class map, keeping the checksum valid."""
-    payload = json.loads(path.read_text())["payload"]
-    _rewrite_payload(path, dict(payload, class_of=class_of))
+    _rewrite_cached(path, body=np.asarray(class_of, dtype="<i4").tobytes())
+
+
+def _relabel(path, relabel):
+    """Rewrite the cached class map as relabel(good map), checksum kept valid."""
+    good = np.frombuffer(_read_cached(path)[1], dtype="<i4")
+    _rewrite_class_map(path, relabel(good.astype(np.int64)))
+
+
+def _flip_body_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 1
+    path.write_bytes(bytes(raw))
 
 
 def test_cache_rejects_malformed_class_labels(tmp_path):
@@ -650,14 +677,29 @@ def test_cache_rejects_malformed_class_labels(tmp_path):
 @pytest.mark.parametrize(
     "corrupt,message",
     [
+        (lambda path: path.write_bytes(b"class_table\n"), "unreadable"),
         (lambda path: path.write_text("[1, 2]"), "stale schema"),
-        (lambda path: _rewrite_payload(path, {"order": 9}), "malformed class map"),
-        (lambda path: _rewrite_class_map(path, ["a"] * 9), "malformed class map"),
-        (lambda path: _rewrite_class_map(path, [[0], [1, 2]] + [[3]] * 7), "malformed class map"),
-        (lambda path: _rewrite_class_map(path, [0.0] * 9), "malformed class map"),
-        (lambda path: _rewrite_payload(path, [1, 2]), "malformed payload"),
+        (lambda path: _rewrite_cached(path, header={"kind": "report"}), "stale schema"),
+        (lambda path: _rewrite_cached(path, header={"schema": 2}), "stale schema"),
+        (lambda path: _rewrite_cached(path, header={"q": 9}), "key mismatch"),
+        (_flip_body_byte, "checksum mismatch"),
+        (lambda path: _rewrite_cached(path, header={"order": 10}), "order mismatch"),
+        # no_class_of .. payload_list: bodies that are not 4*|G| bytes
+        (lambda path: _rewrite_cached(path, body=b""), "malformed class map"),
+        (lambda path: _rewrite_cached(path, body=b"a" * 9), "malformed class map"),
+        (lambda path: _rewrite_cached(path, body=_read_cached(path)[1][:-1]), "malformed class map"),
+        (lambda path: _rewrite_cached(path, body=np.zeros(9).tobytes()), "malformed class map"),
+        (lambda path: _rewrite_cached(path, body=json.dumps(list(range(9))).encode()),
+         "malformed class map"),
+        (lambda path: _relabel(path, lambda c: np.where(c == c[-1], -1, c)), "malformed class map"),
+        (lambda path: _relabel(path, lambda c: np.where(c < 2, 1 - c, c)), "malformed class map"),
+        (lambda path: _relabel(path, lambda c: np.where(c > 0, c + 1, c)), "empty class"),
     ],
-    ids=["top_list", "no_class_of", "letter_labels", "ragged", "float_labels", "payload_list"],
+    ids=[
+        "header_not_json", "top_list", "stale_kind", "stale_schema", "key_mismatch",
+        "flipped_body_byte", "order_mismatch", "no_class_of", "letter_labels", "ragged",
+        "float_labels", "payload_list", "negative_label", "classes_out_of_order", "empty_class",
+    ],
 )
 def test_cache_ignores_malformed_documents(runner, tmp_path, corrupt, message):
     cache, args = tmp_path / "cache", ["classes", "--group", "n2", "--q", "3"]

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -629,3 +630,66 @@ def test_central_axes_are_central_on_builtin_and_dsl_laws():
         True, True, False, True
     ]
     assert points_module._central_axes(parse_group_dsl(COMMUTATIVE_COCYCLE)).all()
+
+
+def test_int32_guard_refuses_a_group_before_allocating():
+    """Ordinals, codes and class-pass permutations are int32: a group of
+    more than 2^31 - 1 elements is refused under a larger cap, before its
+    field, codes or lookup tables exist."""
+    law, tower = builtin("n2", 2), FieldTower(2)
+    built = tower.stats["fields_built"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="int32"):
+            enumerate_group(law, tower, 2, 16, max_order=2**33)  # order 2^32
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert tower.stats["fields_built"] == built
+
+
+def changed_coordinates(view, s):
+    """Oracle: the coordinates j with (s^{-1} g s)_j != g_j for some g, by
+    the law's multiplication and inverse on digit arrays."""
+    law, tower, fid = view.law, view.tower, view.field
+    g = view.digits(np.arange(view.order))
+    h = view.digits(np.array([s]))
+    conj = eval_mul(law, tower, fid, eval_inv(law, tower, fid, h), eval_mul(law, tower, fid, g, h))
+    return np.flatnonzero((conj != g).any(axis=(0, 2)))
+
+
+def test_class_pass_evaluates_only_the_coordinates_a_generator_changes(monkeypatch):
+    """conjugation_by an axis generator evaluates one coordinate per
+    coordinate it changes, and an axis is central exactly when its
+    generators change none."""
+    calls = []
+    evaluate = points_module._eval_poly_codes
+
+    def counted(poly, tab, x, y):
+        calls.append(poly)
+        return evaluate(poly, tab, x, y)
+
+    monkeypatch.setattr(points_module, "_eval_poly_codes", counted)
+    cases = [(parse_group_name(g, p), q, m) for g, p, q, m in (
+        ("n2", 3, 3, 2), ("n2", 2, 4, 1), ("ul(3)", 2, 2, 2), ("ul(4)", 2, 2, 1),
+        ("ul(4)", 2, 2, 2), ("ga_power(1)", 2, 2, 2), ("ga_power(3)", 3, 3, 1),
+    )]
+    cases += [(parse_group_dsl(text), 2, 2) for text in (COMMUTATIVE_COCYCLE, PRODUCT)]
+    cases += [(parse_group_dsl(MID_CENTRAL.format(p=p)), p, m) for p, m in ((3, 1), (2, 2))]
+    for law, q, m in cases:
+        view = enumerate_group(law, FieldTower(law.p), q, m)
+        central = points_module._central_axes(law)
+        gens = view.axis_generators().reshape(law.dim, view.field.degree)
+        expected = 0
+        for i, axis in enumerate(gens):
+            for s in axis:
+                changed = changed_coordinates(view, s)
+                calls.clear()
+                view.conjugation_by(s)
+                assert len(calls) == changed.size
+                assert central[i] == (changed.size == 0)
+                expected += changed.size
+        calls.clear()
+        conjugacy_classes(view)
+        assert len(calls) == expected
