@@ -8,8 +8,9 @@ recomputes, and the .bin suffix keeps files of the older JSON format
 from being found at all.  Files failing their checksum, written by
 another schema or holding a malformed class map are ignored with a
 warning, never migrated.  Loads reproduce the canonical ordering byte
-for byte: the element enumeration is deterministic, so persisting
-class_of is enough to rebuild the table.  Files are written to a
+for byte: the element enumeration is deterministic, and class_of is
+the table; its representatives are the first ordinal of each label,
+which the load's own check finds.  Files are written to a
 temporary name in the cache directory and renamed into place, so an
 interrupted write never leaves a truncated table.
 """
@@ -46,7 +47,7 @@ def class_table_path(cache_dir: str | Path, law: GroupLaw, q: int, m: int) -> Pa
 
 def save_class_table(path: str | Path, table: ClassTable) -> Path:
     view = table.view
-    body = table.class_of.astype(_LABEL).tobytes()
+    body = table.class_of.astype(_LABEL, copy=False).tobytes()
     header = {
         "kind": "class_table",
         "schema": SCHEMA_VERSION,
@@ -112,8 +113,9 @@ def load_class_table(
     if len(body) != _LABEL.itemsize * view.order:
         _warn(f"cache {path.name}: malformed class map, ignoring")
         return None
-    class_of = np.frombuffer(body, dtype=_LABEL).astype(np.int64)
-    # classes are numbered in order of their least member
+    class_of = np.frombuffer(body, dtype=_LABEL)
+    # classes are numbered in order of their least member, each the
+    # representative of its class
     labels, reps = np.unique(class_of, return_index=True)
     if labels[0] < 0 or np.any(np.diff(reps) <= 0):
         _warn(f"cache {path.name}: malformed class map, ignoring")
@@ -121,4 +123,4 @@ def load_class_table(
     if labels[-1] != labels.size - 1:
         _warn(f"cache {path.name}: empty class, ignoring")
         return None
-    return ClassTable.from_class_of(view, class_of)
+    return ClassTable(view, reps, class_of)

@@ -166,7 +166,8 @@ def _classes_block(table) -> _Rows:
     """classes[{rep, size}], from one digit conversion of the representatives."""
     reps = table.view.digits(table.reps)
     n, d, k = reps.shape
-    rows = np.concatenate([reps.reshape(n, d * k), np.diff(table.offsets)[:, None]], axis=1)
+    sizes = np.bincount(table.class_of, minlength=n)
+    rows = np.concatenate([reps.reshape(n, d * k), sizes[:, None]], axis=1)
     shape = {"rep": [[_SLOT] * k] * d, "size": _SLOT}
     return _Rows(np.zeros(n, dtype=np.int64), [(shape, rows)])
 

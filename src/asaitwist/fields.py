@@ -80,16 +80,14 @@ _ROOT_BLOCK = 256
 # (p, k) -> _Level of F_{p^k}, shared by every tower of the process
 _LEVELS: dict[tuple[int, int], "_Level"] = {}
 
+# the largest p whose degree-1 products (p - 1)^2 fit int64: no larger
+# characteristic is usable, so it is refused before primality is
+# decided, and trial division never runs past about 55,000
+MAX_CHARACTERISTIC = isqrt((1 << 63) - 1) + 1
+
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def divisors(n: int) -> list[int]:
@@ -110,12 +108,31 @@ def p_power_exponent(q: int, p: int) -> int:
     return n
 
 
+def _iroot(q: int, n: int) -> int:
+    """floor(q^(1/n)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // n)
+    while (s := ((n - 1) * r + q // r ** (n - 1)) // n) < r:
+        r = s
+    return r
+
+
 def characteristic(q: int) -> int:
-    """The prime p with q = p^n, or raise ParameterError."""
+    """The prime p with q = p^n, or raise ParameterError.
+
+    p is the n-th root of q for the largest n that has one; a root past
+    MAX_CHARACTERISTIC raises CapExceeded before it is factored.
+    """
     if q < 2:
         raise ParameterError("q must be a prime power >= 2")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    p_power_exponent(q, p)
+    p = next(r for n in range(q.bit_length(), 0, -1) if (r := _iroot(q, n)) ** n == q)
+    if p > MAX_CHARACTERISTIC:
+        raise CapExceeded(
+            f"q = {q} is a power of {p}, past {MAX_CHARACTERISTIC}, "
+            "the largest characteristic whose products fit int64"
+        )
+    least = next((d for d in range(2, isqrt(p) + 1) if p % d == 0), p)
+    if least != p:
+        raise ParameterError(f"{q} is not a power of {least}")
     return p
 
 
@@ -238,6 +255,11 @@ class FieldTower:
     """
 
     def __init__(self, p: int, degree_cap: int = DEFAULT_DEGREE_CAP):
+        if p > MAX_CHARACTERISTIC:  # before is_prime, so its loop stays short
+            raise CapExceeded(
+                f"characteristic {p} is past {MAX_CHARACTERISTIC}, "
+                "the largest whose products fit int64"
+            )
         if not is_prime(p):
             raise ParameterError(f"characteristic {p} is not prime")
         self.p = p

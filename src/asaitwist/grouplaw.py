@@ -43,7 +43,7 @@ from .errors import (
     GroupLawSyntaxError,
     ParameterError,
 )
-from .fields import FieldId, FieldTower, is_prime, p_power_exponent
+from .fields import MAX_CHARACTERISTIC, FieldId, FieldTower, is_prime, p_power_exponent
 from .modp import digit_power
 
 
@@ -295,7 +295,7 @@ def make_law(
     family: str | None = None,
     params: tuple[int, ...] = (),
 ) -> GroupLaw:
-    if not is_prime(p):
+    if p <= MAX_CHARACTERISTIC and not is_prime(p):  # a larger p no tower accepts
         raise GroupLawSemanticError(f"characteristic must be prime, got {p}")
     if len(mul) != dim:
         raise GroupLawSemanticError(f"expected {dim} coordinates, got {len(mul)}")
@@ -439,7 +439,7 @@ def parse_group_dsl(text: str) -> GroupLaw:
     p = int(ps.expect("INT", "characteristic").text)
     if dim < 1:
         raise GroupLawSemanticError("dimension must be >= 1")
-    if not is_prime(p):
+    if p <= MAX_CHARACTERISTIC and not is_prime(p):  # a larger p no tower accepts
         raise GroupLawSemanticError(f"characteristic must be prime, got {p}")
     polys: dict[int, Polynomial] = {}
     while ps.peek().kind != "EOF":

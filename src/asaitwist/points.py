@@ -16,7 +16,10 @@ fancy-indexing operations.  A view builds its tables the first time
 they are read, and nothing but the conjugates_combined oracle reads
 them for a law of dimension 1 (x1 + y1, since it is triangular), so
 tables the pipeline builds have (q^m)^2 <= (q^m)^d = |G| entries.
-Class tables are immutable after construction.
+A class table is its class map class_of, one int32 class index per
+ordinal with classes numbered by least member, and those least members
+as representatives; sizes and members are read off class_of.  Class
+tables are immutable after construction.
 
 Conjugacy classes are the orbits of conjugation by the d*deg axis
 generators t*e_i (t over an F_p-basis of F_{q^m}, deg its size), found
@@ -223,13 +226,6 @@ class FiniteGroupView:
     def _ordinals_of_codes(self, codes: np.ndarray) -> np.ndarray:
         return np.ravel_multi_index(tuple(np.moveaxis(codes, -1, 0)), self._radices)
 
-    def _conjugates(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Ordinals of h^{-1} g h, broadcasting rows of codes: the law's
-        conj without its terms in variables zero on every row."""
-        zero = np.flatnonzero(~np.concatenate([g.any(axis=0), h.any(axis=0)]))
-        conj = [_eval_poly_codes(c.without(zero), self.tables, g, h) for c in self.law.conj]
-        return self._ordinals_of_codes(np.stack(conj, axis=-1))
-
     def digits(self, ordinals) -> np.ndarray:
         """Digit arrays (..., d, k) of the elements with these ordinals."""
         return all_tuples(self.tower, self.field, self.law.dim, ordinals)
@@ -252,8 +248,14 @@ class FiniteGroupView:
     # ---- whole-group conjugation kernels ----
 
     def conjugates_combined(self, g: int) -> np.ndarray:
-        """Ordinals of h^{-1} g h over all h, in ordinal order."""
-        return self._conjugates(self._codes[[g]], self._codes)
+        """Ordinals of h^{-1} g h over all h, in ordinal order: the law's
+        conj without its terms in the coordinates of g that are zero."""
+        x = self._codes[[g]]
+        zero = np.flatnonzero(x[0] == 0)
+        conj = [
+            _eval_poly_codes(c.without(zero), self.tables, x, self._codes) for c in self.law.conj
+        ]
+        return self._ordinals_of_codes(np.stack(conj, axis=-1))
 
     def conjugation_by(self, s: int) -> np.ndarray:
         """Ordinals of s^{-1} g s over all g, in ordinal order, as int32.
@@ -343,36 +345,26 @@ def enumerate_group(
 
 @dataclass
 class ClassTable:
-    """Conjugacy classes of a FiniteGroupView, stored as CSR.
+    """Conjugacy classes of a FiniteGroupView, as the class map.
 
-    Classes are ordered by their least member; each representative is
-    the canonically least member of its class.  order lists the ordinals
-    grouped by class, ascending within each, and class ci is
-    order[offsets[ci]:offsets[ci + 1]].
+    Classes are numbered 0.. in order of their least member, and each
+    representative is the least member of its class.  class_of is all
+    the table holds per element; sizes and members are read off it.
     """
 
     view: FiniteGroupView
-    reps: np.ndarray  # ordinals of representatives, one per class
-    class_of: np.ndarray  # ordinal -> class index
-    order: np.ndarray  # ordinals grouped by class
-    offsets: np.ndarray  # start of each class in order, then len(order)
-
-    @classmethod
-    def from_class_of(cls, view: FiniteGroupView, class_of: np.ndarray) -> ClassTable:
-        """The table of a class map numbering classes 0.. by least member;
-        one stable sort groups the ordinals."""
-        order = np.argsort(class_of, kind="stable")
-        offsets = np.concatenate([[0], np.cumsum(np.bincount(class_of))])
-        return cls(view, order[offsets[:-1]], class_of, order, offsets)
+    reps: np.ndarray  # ordinals of representatives, one per class, ascending
+    class_of: np.ndarray  # ordinal -> class index, int32
 
     @property
     def members(self) -> list[np.ndarray]:
-        """Sorted ordinals per class, as slices of order."""
-        return np.split(self.order, self.offsets[1:-1])
+        """Ascending ordinals per class, from one stable sort of class_of."""
+        order = np.argsort(self.class_of, kind="stable")
+        return np.split(order, np.cumsum(self.sizes)[:-1])
 
     @property
     def sizes(self) -> list[int]:
-        return np.diff(self.offsets).tolist()
+        return np.bincount(self.class_of, minlength=len(self.reps)).tolist()
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -400,8 +392,9 @@ def conjugacy_classes(view: FiniteGroupView) -> ClassTable:
             break
     # number the classes by least member: the least members are the g
     # with label[g] == g, in ordinal order
-    class_of = np.cumsum(label == np.arange(n)) - 1
-    return ClassTable.from_class_of(view, class_of[label])
+    least = label == np.arange(n, dtype=np.int32)
+    class_of = np.cumsum(least, dtype=np.int32) - 1
+    return ClassTable(view, np.flatnonzero(least), class_of[label])
 
 
 @lru_cache(maxsize=256)

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -430,6 +432,37 @@ def test_heisenberg_law_at_a_large_characteristic(runner, tmp_path, p, code):
     law.write_text(f"group big dim 2 char {p}\nmul[1] = x1 + y1\nmul[2] = x2 + y2 + x1 * y1\n")
     res = invoke(runner, ["validate", "--dsl", str(law), "--q", str(p)])
     assert res.exit_code == code
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["asai", "--group", "n2", "--q", str(2**61 - 1), "--m", "1"], 4),
+        (["asai", "--group", "n2", "--q", str((2**31 - 1) ** 2), "--m", "1"], 4),
+        (["validate", "--dsl", "big.law", "--q", "4"], 3),
+    ],
+    ids=["q=2^61-1", "q=(2^31-1)^2", "char=2^61-1,q=4"],
+)
+def test_large_primes_end_at_once_with_one_error(tmp_path, args, code):
+    """q's prime is an integer root of q, and a characteristic past the
+    int64 bound of degree-1 products is refused before its primality is
+    decided: the tower refuses 2^61 - 1 and the degree-2 level over
+    2^31 - 1 (exit 4), and the law's 2^61 - 1 does not match q = 4
+    (exit 3).  Trial division up to sqrt(q) took minutes on each."""
+    (tmp_path / "big.law").write_text(
+        f"group big dim 2 char {2**61 - 1}\nmul[1] = x1 + y1\nmul[2] = x2 + y2 + x1 * y1\n"
+    )
+    src = str(SCRIPTS.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run(
+        [sys.executable, "-m", "asaitwist.cli", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert res.returncode == code, res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("error: ")
+    assert lines[1].startswith("elapsed ") and float(lines[1].split()[1].rstrip("s")) < 1
 
 
 def test_validate_twist_by_a_large_frobenius_power(runner, tmp_path):

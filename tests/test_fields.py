@@ -462,6 +462,42 @@ def test_nonprime_characteristic_rejected():
         FieldTower(4)
 
 
+def test_characteristics_past_int64_products_are_refused_before_factoring():
+    """The bound is the largest p with (p - 1)^2 < 2^63, and a prime past
+    it is refused at once rather than trial-divided."""
+    bound = fields_module.MAX_CHARACTERISTIC
+    assert (bound - 1) ** 2 < 1 << 63 <= bound**2
+    for p in (2**61 - 1, bound + 1):
+        with pytest.raises(CapExceeded):
+            FieldTower(p)
+        with pytest.raises(CapExceeded):
+            fields_module.characteristic(p)
+    with pytest.raises(CapExceeded):
+        fields_module.characteristic((2**61 - 1) ** 3)
+
+
+@pytest.mark.parametrize(
+    "q,p",
+    [(2, 2), (3**40, 3), (2**62, 2), (4099**3, 4099), ((2**31 - 1) ** 2, 2**31 - 1),
+     (1_760_000_027, 1_760_000_027)],
+)
+def test_characteristic_is_an_integer_root(q, p):
+    assert fields_module.characteristic(q) == p
+
+
+@pytest.mark.parametrize("q,least", [(6, 2), (36, 2), (3**4 * 5**4, 3), (2**31 - 1 + 2, 3)])
+def test_characteristic_refuses_other_integers(q, least):
+    with pytest.raises(ParameterError, match=f"{q} is not a power of {least}$"):
+        fields_module.characteristic(q)
+
+
+@given(st.integers(2, 10**30), st.integers(1, 70))
+def test_integer_root_is_the_floor_of_the_real_root(r, n):
+    assert fields_module._iroot(r**n, n) == r
+    assert fields_module._iroot(r**n - 1, n) == r - 1
+    assert fields_module._iroot(1, n) == 1
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_embeddings_into_degree_six(p):
     """Embeddings from degrees 2 and 3 into degree 6 exist, are ring

@@ -105,8 +105,8 @@ def assert_classes_match_oracle(view):
 
 
 def assert_csr_matches_oracle(table):
-    """reps, class_of, sizes and members against per-class arrays built
-    with np.argsort/np.split from the seed-orbit oracle's class map, for
+    """reps, class_of, sizes and members against the grouping of the
+    seed-orbit oracle's class map by np.argsort/np.split (CSR form), for
     the table itself and for it written to a cold cache and loaded warm."""
     view = table.view
     _, _, class_of = seed_orbit_classes(view)
@@ -534,14 +534,18 @@ def test_csr_table_matches_per_class_oracle_on_random_laws(case):
     assert_csr_matches_oracle(conjugacy_classes(enumerate_group(law, FieldTower(law.p), q, m)))
 
 
-def test_commutative_table_holds_no_per_class_arrays():
+def test_commutative_table_holds_no_per_class_arrays(tmp_path):
+    """A table, computed or loaded, is its class map and representatives:
+    nothing per class, and one int32 label per element."""
     view = enumerate_group(parse_group_name("ga_power(2)", 2), FieldTower(2), 2, 3)
     table = conjugacy_classes(view)
-    assert set(vars(table)) == {"view", "reps", "class_of", "order", "offsets"}
+    path = save_class_table(class_table_path(tmp_path, view.law, 2, 3), table)
+    loaded = load_class_table(path, view.law, view.tower, 2, 3)
     n = view.order
-    assert table.order.tolist() == list(range(n))
-    assert table.offsets.tolist() == list(range(n + 1))
-    assert table.reps.shape == table.class_of.shape == (n,)
+    for t in (table, loaded):
+        assert set(vars(t)) == {"view", "reps", "class_of"}
+        assert t.class_of.dtype == np.int32
+        assert t.reps.tolist() == t.class_of.tolist() == list(range(n))
 
 
 def test_commutative_views_build_no_code_tables():
