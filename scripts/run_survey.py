@@ -88,7 +88,14 @@ def main() -> int:
         if not rep.internally_consistent:
             return 5
     if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        # as the CLI writes --out: a missing directory is made, and an
+        # unwritable path is one error line and exit 3
+        try:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+            Path(args.out).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
         print(f"wrote {args.out}")
     return 0
 

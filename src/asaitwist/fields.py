@@ -36,16 +36,16 @@ entry i the coefficient of t^i.  Scalar and bulk paths share the same
 kernels.
 
 What depends only on (p, k) lives in one process-wide table, _LEVELS:
-the modulus, the reduction matrix, the Frobenius powers, the
-Artin-Schreier solvers, the sorted roots of every subfield
-modulus with their powers matrices, and the embedding of every
-subfield.  A tower takes a level from the table and derives it only on
-a miss, so every tower of a process shares it; its arrays are
-read-only.  A tower keeps to itself only its degree cap (checked before
-the table is read) and the levels make_field registered (counted by
-stats["fields_built"]); arithmetic and embedding derivations read other
-levels from the table without registering them, so the count does not
-depend on what the table already held.  The table and the towers fill
+the modulus, the reduction matrix, the Frobenius powers, the solver of
+Frob^e - 1 for each exponent e, whose solve is the Artin-Schreier step
+and whose kernel is the subfield the root search scans, and the
+embedding of every subfield.  A tower takes a level from the table and
+derives it only on a miss, so every tower of a process shares it; its
+arrays are read-only.  A tower keeps to itself only its degree cap
+(checked before the table is read) and the levels make_field registered
+(counted by stats["fields_built"]); arithmetic and embedding derivations
+read other levels from the table without registering them, so the count
+does not depend on what the table already held.  The table and the towers fill
 lazily on reads and the table grows with the distinct (p, k) a process
 touches, so the module is single-threaded: no two threads may use it
 at once.
@@ -67,7 +67,7 @@ from .errors import (
     InternalInconsistencyError,
     ParameterError,
 )
-from .modp import LinearSolve, digit_power, frozen, kernel_rref, matpow_mod
+from .modp import LinearSolve, digit_power, frozen, matpow_mod, rref_mod
 
 DEFAULT_DEGREE_CAP = 1024
 
@@ -178,8 +178,10 @@ class FieldElement:
 
 class _Level:
     """Data of F_{p^degree} that depends on nothing else: the modulus, the
-    reduction matrix, and lazily filled Frobenius powers, Artin-Schreier
-    solvers, subfield roots and subfield embeddings."""
+    reduction matrix, and lazily filled Frobenius powers, fixed-space
+    solvers and subfield embeddings.  fixed(e) is the one LinearSolve of
+    Frob^e - 1 here: the Artin-Schreier solve and the root search both
+    read it, the latter through its kernel."""
 
     def __init__(self, p: int, degree: int, modulus: np.ndarray, frob: np.ndarray):
         self.p = p
@@ -191,11 +193,8 @@ class _Level:
             0: frozen(np.eye(degree, dtype=np.int64)),
             1: frozen(frob),
         }
-        # as_solve[e]: the solver of x^{p^e} - x = c here
-        self.as_solve: dict[int, LinearSolve] = {}
-        # roots[a]: the roots of the degree-a modulus here, in code order,
-        # and the powers matrix of each, shape (a, a, degree)
-        self.roots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # _fixed[e]: the solver of Frob^e - 1 here, by fixed(e)
+        self._fixed: dict[int, LinearSolve] = {}
         # emb[a]: the embedding F_{p^a} -> here, by FieldTower._embedding
         self.emb: dict[int, "_Embedding"] = {}
 
@@ -204,6 +203,15 @@ class _Level:
         if e not in self._frob:
             self._frob[e] = frozen(matpow_mod(self._frob[1], e, self.p))
         return self._frob[e]
+
+    def fixed(self, e: int) -> LinearSolve:
+        """The solver of x^{p^e} - x = c here: solve gives the least
+        solution of each row and the mask of rows that have one, and the
+        kernel is the fixed space of x -> x^{p^e}, F_{p^gcd(e, degree)}."""
+        if e not in self._fixed:
+            frob_minus_one = (self.frob(e) - np.eye(self.degree, dtype=np.int64)) % self.p
+            self._fixed[e] = LinearSolve(frob_minus_one, self.p)
+        return self._fixed[e]
 
 
 def _mul_by_t(modulus: np.ndarray, p: int) -> np.ndarray:
@@ -489,21 +497,18 @@ class FieldTower:
     def _root_candidates(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """All roots of the degree-a modulus in F_{p^b} (one Frobenius
         orbit) in canonical code order, shape (a, b), and the powers
-        matrix of each, shape (a, a, b); found once per process."""
-        lvl = self._level(b)
-        if a not in lvl.roots:
-            fid_b = FieldId(self.p, b)
-            conj = [self._subfield_root(a, b)]
-            for _ in range(a - 1):
-                conj.append(self.vfrob(fid_b, conj[-1], 1))
-            # lexicographic order on the reversed digits is code order
-            roots = np.array(sorted(conj, key=lambda v: tuple(v[::-1])))
-            powers = np.zeros((a, a, b), dtype=np.int64)
-            powers[:, 0, 0] = 1
-            for i in range(1, a):
-                powers[:, i] = self.vmul(fid_b, powers[:, i - 1], roots)
-            lvl.roots[a] = (frozen(roots), frozen(powers))
-        return lvl.roots[a]
+        matrix of each, shape (a, a, b)."""
+        fid_b = FieldId(self.p, b)
+        conj = [self._subfield_root(a, b)]
+        for _ in range(a - 1):
+            conj.append(self.vfrob(fid_b, conj[-1], 1))
+        # lexicographic order on the reversed digits is code order
+        roots = np.array(sorted(conj, key=lambda v: tuple(v[::-1])))
+        powers = np.zeros((a, a, b), dtype=np.int64)
+        powers[:, 0, 0] = 1
+        for i in range(1, a):
+            powers[:, i] = self.vmul(fid_b, powers[:, i - 1], roots)
+        return roots, powers
 
     # ---- roots of a defining polynomial in a bigger field ----
 
@@ -514,8 +519,9 @@ class FieldTower:
         p = self.p
         fid_b = FieldId(p, b)
         fa = self._level(a).modulus
-        frob_minus_one = (self._level(b).frob(a) - np.eye(b, dtype=np.int64)) % p
-        basis = kernel_rref(frob_minus_one.T, p)  # (a, b)
+        # the subfield's RREF basis in digit order, shape (a, b): it fixes
+        # the order in which candidates are met
+        basis = rref_mod(self._level(b).fixed(a).kernel[:, ::-1], p)[0]
         if p**a > _BRUTE_ROOT_BOUND:
             h = np.zeros((a + 1, b), dtype=np.int64)
             h[:, 0] = fa
@@ -668,28 +674,16 @@ class FieldTower:
         groups = []
         for degree, (rows, cb) in pulled.items():
             sub = self.make_field(degree)
-            sol, ok = self._as_try(degree, e, cb)
+            sol, ok = self._level(degree).fixed(e).solve(cb)
             if ok.any():
                 groups.append((sub, rows[ok], sol[ok]))
             if ok.all():
                 continue
             big = self.make_field(degree * self.p)
-            sol, found = self._as_try(big.degree, e, self.vembed(sub, big, cb[~ok]))
+            sol, found = self._level(big.degree).fixed(e).solve(self.vembed(sub, big, cb[~ok]))
             if not found.all():
                 raise InternalInconsistencyError(
                     "Artin-Schreier equation unsolvable in the p-fold extension"
                 )
             groups.append((big, rows[~ok], sol))
         return groups
-
-    def _as_try(self, degree: int, e: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve x^{p^e} - x = c inside F_{p^degree} for every digit row.
-
-        Returns the least solution of each row and the mask of rows that
-        have one; the digits of the other rows mean nothing.
-        """
-        lvl = self._level(degree)
-        if e not in lvl.as_solve:
-            frob_minus_one = (lvl.frob(e) - np.eye(degree, dtype=np.int64)) % self.p
-            lvl.as_solve[e] = LinearSolve(frob_minus_one, self.p)
-        return lvl.as_solve[e].solve(c)

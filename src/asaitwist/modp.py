@@ -9,6 +9,7 @@ digit_power is the one loop over base-p digits of an exponent, for
 field digit rows and polynomials, whose p-th powers are cheap maps.
 LinearSolve is the one solver of x @ M = y: it factors M once and then
 answers every batch of right-hand sides with the code-least solution.
+Its kernel is the one kernel: no other routine computes ker(M).
 """
 
 from __future__ import annotations
@@ -103,15 +104,6 @@ def _rref_kernel(r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
         for j, c in enumerate(pivots):
             vecs[i, c] = (-r[j, f]) % p
     return rref_mod(vecs, p)[0]
-
-
-def kernel_rref(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of ker(a) over F_p, returned in reduced row echelon form.
-
-    Shape (dim_kernel, ncols); possibly empty.
-    """
-    r, _, pivots = rref_mod(a, p)
-    return _rref_kernel(r, pivots, p)
 
 
 class LinearSolve:

@@ -655,6 +655,28 @@ def test_survey_script_one_level(monkeypatch, capsys):
     assert len(lines) == 7 and all(line.startswith("[ok] ") for line in lines)
 
 
+def test_survey_script_out_makes_its_directory(monkeypatch, tmp_path):
+    script = _load_script(monkeypatch, SURVEY_SCRIPT)
+    out = tmp_path / "new" / "survey.json"
+    monkeypatch.setattr("sys.argv", ["run_survey.py", "--max-m", "1", "--out", str(out)])
+    assert script.main() == 0
+    rows = json.loads(out.read_text())
+    assert isinstance(rows, list) and len(rows) == 7
+
+
+def test_survey_script_unwritable_out_exits_3(monkeypatch, capsys, tmp_path):
+    """--out under a regular file: the survey runs, then one error line."""
+    script = _load_script(monkeypatch, SURVEY_SCRIPT)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "survey.json"
+    monkeypatch.setattr("sys.argv", ["run_survey.py", "--max-m", "1", "--out", str(out)])
+    assert script.main() == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _read_cached(path):
     """The header object and the body bytes of a cache file."""
     head, _, body = path.read_bytes().partition(b"\n")

@@ -1,20 +1,23 @@
 import itertools
+import math
 import random
 from functools import partial
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asaitwist import fields as fields_module
+from asaitwist.cli import main as cli_main
 from asaitwist.errors import (
     CapExceeded,
     IncompatibleFields,
     ParameterError,
 )
 from asaitwist.fields import _BRUTE_ROOT_BOUND, FieldId, FieldTower
-from asaitwist.modp import power
+from asaitwist.modp import power, rref_mod
 
 
 @pytest.fixture
@@ -268,6 +271,70 @@ def test_trace_splitting_works_in_the_subfield(p, monkeypatch, empty_levels):
     values = tower.vmul(fid, roots, roots) + modulus[1] * roots
     values[:, 0] += modulus[0]
     assert not np.any(values % p)
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4), (5, 3), (7, 2)])
+def test_fixed_kernel_is_the_fixed_subfield(p, k):
+    """fixed(e)'s kernel, in digit order, is the gcd(e, k)-dimensional
+    subfield that x -> x^{p^e} fixes, for every e <= k."""
+    tower = FieldTower(p)
+    fid = tower.make_field(k)
+    for e in range(1, k + 1):
+        rows = tower._level(k).fixed(e).kernel[:, ::-1]
+        assert len(rows) == math.gcd(e, k), e
+        assert np.array_equal(tower.vfrob(fid, rows, e), rows), e
+
+
+def test_fixed_kernel_spans_the_embedded_subfield():
+    """At level b the kernel of fixed(a) is the image of F_{2^a}."""
+    tower = FieldTower(2)
+    for a, b in _divisor_pairs(12):
+        kernel = tower._level(b).fixed(a).kernel[:, ::-1]
+        image = tower._embedding(a, b).mat
+        assert np.array_equal(rref_mod(kernel, 2)[0], rref_mod(image, 2)[0]), (a, b)
+
+
+@pytest.mark.parametrize("p,k", MODULUS_GRID)
+def test_fixed_space_of_frobenius_is_the_prime_field(p, k):
+    tower = FieldTower(p)
+    tower.make_field(k)
+    assert tower._level(k).fixed(1).rank == k - 1
+
+
+def test_one_fixed_space_solver_per_level_and_exponent(monkeypatch, empty_levels):
+    """Over an asai n2 q=3 m=2 job each (level, e) builds its LinearSolve
+    of Frob^e - 1 once: level 6 builds fixed(2) for an Artin-Schreier
+    solve, and the root search of the embedding 2 -> 6 reads the same
+    solver."""
+    requests, built, searches, inside = [], [], [], []
+    fixed, solver = fields_module._Level.fixed, fields_module.LinearSolve
+    search = FieldTower._subfield_root
+
+    def counting_fixed(lvl, e):
+        requests.append((lvl.p, lvl.degree, e))
+        inside.append(1)
+        try:
+            return fixed(lvl, e)
+        finally:
+            inside.pop()
+
+    def counting_solver(*args):
+        if inside:
+            built.append(requests[-1])
+        return solver(*args)
+
+    def recording_search(tower, a, b):
+        searches.append((tower.p, b, a))
+        return search(tower, a, b)
+
+    monkeypatch.setattr(fields_module._Level, "fixed", counting_fixed)
+    monkeypatch.setattr(fields_module, "LinearSolve", counting_solver)
+    monkeypatch.setattr(FieldTower, "_subfield_root", recording_search)
+    res = CliRunner().invoke(cli_main, ["asai", "--group", "n2", "--q", "3", "--m", "2"])
+    assert res.exit_code == 0, res.output
+    assert sorted(built) == sorted(set(requests))
+    assert (3, 6, 2) in searches and requests.count((3, 6, 2)) > 1
+    assert set(searches) <= set(requests)
 
 
 # monic polynomials of every degree k over F_p with p^k <= 256
