@@ -13,9 +13,9 @@ go through the same `_job`, which checks the options once, runs the
 command's body and maps its failure to an exit code.
 
 Exit codes: 0 success, 2 parse error, 3 validation failure (bad options,
-or an unreadable input or unwritable output file), 4 cap exceeded, 5
-internal inconsistency (fixed-class/witness biconditional violated) or
-an unexpected error: always a bug.  `run` exits with its worst job's code.
+or an unreadable input or unwritable output file), 4 cap exceeded, 5 a
+bug: a failed internal check or any other error, IncompatibleFields
+included.  `run` exits with its worst job's code.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
     CapExceeded,
     GroupLawSemanticError,
     GroupLawSyntaxError,
-    IncompatibleFields,
     InternalInconsistencyError,
     ParameterError,
 )
@@ -354,7 +353,7 @@ def _job(command: str, **opts) -> int:
     except GroupLawSyntaxError as exc:
         click.echo(f"error: {exc}", err=True)
         code = 2
-    except (GroupLawSemanticError, ParameterError, IncompatibleFields, OSError) as exc:
+    except (GroupLawSemanticError, ParameterError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         code = 3
     except CapExceeded as exc:

@@ -41,14 +41,14 @@ Frob^e - 1 for each exponent e, whose solve is the Artin-Schreier step
 and whose kernel is the subfield the root search scans, and the
 embedding of every subfield.  A tower takes a level from the table and
 derives it only on a miss, so every tower of a process shares it; its
-arrays are read-only.  A tower keeps to itself only its degree cap
-(checked before the table is read) and the levels make_field registered
-(counted by stats["fields_built"]); arithmetic and embedding derivations
-read other levels from the table without registering them, so the count
-does not depend on what the table already held.  The table and the towers fill
-lazily on reads and the table grows with the distinct (p, k) a process
-touches, so the module is single-threaded: no two threads may use it
-at once.
+arrays are read-only.  A tower's state is its degree cap (checked before
+the table is read) and the levels make_field registered, counted by
+stats["fields_built"]: arithmetic and embedding derivations read other
+levels from the table without registering them, so the count does not
+depend on what the table already held, and a solve registers only the
+levels its solutions live in.  The table and the towers fill lazily on
+reads and the table grows with the distinct (p, k) a process touches,
+so the module is single-threaded: no two threads may use it at once.
 """
 
 from __future__ import annotations
@@ -258,8 +258,8 @@ class FieldTower:
     """All fields F_{p^k} for one prime p up to a degree cap, with
     compatible embeddings.
 
-    Construction is idempotent and append-only; every operation is a pure
-    function of its inputs.
+    Its only state is its degree cap and the levels make_field registered,
+    append-only; a solve registers its solutions' levels and nothing else.
     """
 
     def __init__(self, p: int, degree_cap: int = DEFAULT_DEGREE_CAP):
@@ -273,17 +273,17 @@ class FieldTower:
         self.p = p
         self.degree_cap = degree_cap
         self._levels: dict[int, _Level] = {}
-        # fields_built counts the degrees make_field registered, whether
-        # the level table held them already or derived them for it
-        self.stats = {"fields_built": 0, "artin_schreier_solves": 0}
         self.make_field(1)
+
+    @property
+    def stats(self) -> dict:
+        return {"fields_built": len(self._levels)}  # the levels make_field registered
 
     # ---- field construction ----
 
     def make_field(self, degree: int) -> FieldId:
         if degree not in self._levels:
             self._levels[degree] = self._level(degree)
-            self.stats["fields_built"] += 1
         return FieldId(self.p, degree)
 
     def modulus(self, fid: FieldId) -> tuple[int, ...]:
@@ -656,7 +656,6 @@ class FieldTower:
         if e < 1 or fid.degree % e:
             raise ParameterError(f"c does not lie in an extension of F_{self.p}^{e}")
         c = np.asarray(c, dtype=np.int64)
-        self.stats["artin_schreier_solves"] += len(c)
         # degree -> (rows, digits there): each row pulled down to the least
         # field of the divisor chain holding it, whose section solve is the
         # membership test; fid itself, the last divisor, takes the rest

@@ -85,10 +85,11 @@ class Point:
         return f"Pt({inner})@{self.field.p}^{self.field.degree}"
 
 
-def check_index(i: int, n: int) -> int:
-    """i, when 0 <= i < n: an index outside that raises, never wraps."""
-    if not 0 <= i < n:
-        raise ParameterError(f"index {i} is outside [0, {n})")
+def check_index(i, n: int):
+    """i, an int or int array, when all of it lies in [0, n); else it raises."""
+    for v in (np.min(i, initial=0), np.max(i, initial=0)):
+        if not 0 <= v < n:
+            raise ParameterError(f"index {v} is outside [0, {n})")
     return i
 
 
@@ -265,7 +266,7 @@ class FiniteGroupView:
         each adding (v_j - x_j)*Q^(d-1-j) to the identity ordinals.
         """
         codes, big_q, d = self._codes, self.level_order, self.law.dim
-        y = codes[[s]]
+        y = codes[[check_index(s, self.order)]]
         perm = np.arange(self.order, dtype=np.int32)
         for j, poly in _moved_coordinates(self.law, tuple(np.flatnonzero(y[0]).tolist())):
             moved = _eval_poly_codes(poly, self.tables, codes, y) - codes[:, j]
@@ -294,7 +295,7 @@ class FiniteGroupView:
         bound the temporaries.
         """
         law, big_q = self.law, self.level_order
-        g_rows, t_rows = self._codes[g], self._codes[t]
+        g_rows, t_rows = (self._codes[check_index(a, self.order)] for a in (g, t))
         seg = np.nonzero(g_rows[:, 0] == t_rows[:, 0])[0]
         prefix = np.zeros(seg.size, dtype=np.int64)
         # no block holds more candidates than a whole-group pass has rows

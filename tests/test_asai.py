@@ -479,11 +479,16 @@ def test_a_lang_solution_times_a_rational_point_fails_the_image_check(monkeypatc
 def test_indices_outside_their_range_raise(ul3_result):
     """-1 and n raise ParameterError at every entry point that takes an
     ordinal (n = |G| = 8) or a class index (n = 5 classes): nothing
-    wraps a negative index, and numpy's IndexError does not escape."""
+    wraps a negative index, and numpy's IndexError does not escape.
+    find_conjugators refuses a batch with one such ordinal among valid ones."""
     _, _, view, table, res = ul3_result
     calls = [
         (partial(image_of_member, res), view.order),
         (view.point, view.order),
+        (lambda i: view.find_conjugator(i, 0), view.order),
+        (lambda i: view.find_conjugator(0, i), view.order),
+        (lambda i: view.find_conjugators(np.array([0, i, 0]), np.zeros(3, dtype=int)), view.order),
+        (view.conjugation_by, view.order),
         (partial(centralizer_witness, res), len(table)),
         (table.rep_point, len(table)),
         (partial(delta_function, table), len(table)),

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from asaitwist import cache as cache_module
+from asaitwist import cli as cli_module
 from asaitwist import fields
 from asaitwist.cache import (
     class_table_path,
@@ -17,6 +18,7 @@ from asaitwist.cache import (
     save_class_table,
 )
 from asaitwist.cli import main
+from asaitwist.errors import IncompatibleFields
 from asaitwist.fields import FieldTower
 from asaitwist.grouplaw import builtin, canonical_text, parse_group_dsl
 from asaitwist.points import FiniteGroupView, conjugacy_classes, enumerate_group
@@ -106,6 +108,44 @@ def test_asai_ga_power_m2(runner, tmp_path):
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["norm_perm"] == list(range(16))
+
+
+def test_asai_job_counts_the_levels_it_registered(runner, tmp_path, monkeypatch):
+    """A tower's fields_built is the number of levels make_field
+    registered, and the report's artin_schreier_solves is one per
+    coordinate and class: neither is a tally kept on the side."""
+    towers = []
+
+    class Recorded(FieldTower):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            towers.append(self)
+
+    monkeypatch.setattr(cli_module, "FieldTower", Recorded)
+    out = tmp_path / "r.json"
+    res = invoke(runner, ["asai", "--group", "n2", "--q", "3", "--m", "2", "--out", str(out)])
+    assert res.exit_code == 0
+    [tower] = towers
+    doc = json.loads(out.read_text())
+    assert tower.stats == {"fields_built": len(tower._levels)}
+    assert {1, 2, doc["timings"]["max_extension_degree"]} <= set(tower._levels)
+    assert doc["timings"]["artin_schreier_solves"] == doc["group"]["dim"] * len(doc["classes"])
+
+
+def test_a_section_the_norm_map_cannot_take_is_a_bug(runner, tmp_path, monkeypatch):
+    """No input makes two field levels incompatible: IncompatibleFields
+    from the norm map's section of its images is a bug, so the job exits
+    5 with its traceback and writes no report."""
+
+    def refuse(self, src, dst, a):
+        raise IncompatibleFields(f"element not in the image of F_{self.p}^{dst.degree}")
+
+    monkeypatch.setattr(FieldTower, "vsection", refuse)
+    out = tmp_path / "r.json"
+    res = invoke(runner, ["asai", "--group", "n2", "--q", "3", "--m", "2", "--out", str(out)])
+    assert res.exit_code == 5
+    assert "IncompatibleFields: element not in the image of F_3^2" in res.stderr
+    assert not res.stderr.startswith("error:") and not out.exists()
 
 
 def test_asai_cap_exceeded_exit_4(runner, tmp_path):

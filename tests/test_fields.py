@@ -814,6 +814,28 @@ def test_artin_schreier_shrinks_representation():
     assert low == high
 
 
+def test_solves_keep_no_tally():
+    """A tower's state is its cap and its registered levels: a solve
+    registers the levels of its solutions and writes nothing else, so a
+    second call leaves stats as the first left it and returns equal
+    groups.  Over F_9 each row is solved in F_3, F_27, F_9 or F_729."""
+    t3 = FieldTower(3)
+    f9 = t3.make_field(2)
+    c = t3.codes_to_digits(f9, np.arange(9))
+    first = t3.vartin_schreier_solve(f9, c, 1)
+    one = t3.artin_schreier_solve(t3.one(f9), 1)
+    stats = t3.stats
+    assert set(vars(t3)) == {"p", "degree_cap", "_levels"}
+    assert stats == {"fields_built": len(t3._levels)} == {"fields_built": 4}
+    assert [fid.degree for fid, _, _ in first] == [1, 3, 2, 6]
+    second = t3.vartin_schreier_solve(f9, c, 1)
+    assert t3.artin_schreier_solve(t3.one(f9), 1) == one
+    assert t3.stats == stats
+    assert [fid for fid, _, _ in second] == [fid for fid, _, _ in first]
+    for (_, rows, sol), (_, rows2, sol2) in zip(first, second):
+        assert np.array_equal(rows, rows2) and np.array_equal(sol, sol2)
+
+
 def test_element_canonical_order_is_code_order():
     t3 = FieldTower(3)
     f9 = t3.make_field(2)
